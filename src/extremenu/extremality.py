@@ -15,7 +15,6 @@ hyperplanes plus one point per vertex) and must always agree.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -23,10 +22,6 @@ from math import gcd
 from . import geometry as geo
 from .geometry import as_vec, dot, is_zero, nullspace_basis, rank, solve_affine, vadd, vscale, vsub
 from .model import AllocationSpace, ExtendedMenu, Menu, TypeCone, extend_menu
-
-PROBE_COUNT = 256
-_PROBE_SEED = 20240917
-
 
 @dataclass(frozen=True)
 class DeformationSystem:
@@ -75,7 +70,6 @@ class DecompositionCertificate:
     epsilon: Fraction
     menu_plus: tuple
     menu_minus: tuple
-    probe_log: tuple  # (theta, h_M, h_plus, h_minus) quadruples
 
 
 @dataclass(frozen=True)
@@ -165,11 +159,11 @@ def extract_decomposition(
     """Largest symmetric step along the direction, halved for strictness.
 
     The step keeps every untouched allocation facet satisfied on both sides
-    and every edge scale 1 +- eps*mu nonnegative; the resulting certificate
-    is verified before being returned.
+    and every edge scale 1 +- eps*mu nonnegative. The resulting certificate
+    is proved correct by verify_certificate before it is returned; a failed
+    proof raises GeometryError.
     """
     _require_direction_in_nullspace(em, space, direction)
-    d = space.dim
     eps = Fraction(1)
     for i, v in enumerate(em.vertices):
         psi = direction.psi[i]
@@ -193,26 +187,10 @@ def extract_decomposition(
             plus = plus + (space.veto,)
         if space.veto not in minus:
             minus = minus + (space.veto,)
-    probes = _probe_directions(em, space)
-    rows_m, s_m = _int_menu(em.vertices)
-    rows_p, s_p = _int_menu(plus)
-    rows_n, s_n = _int_menu(minus)
-    log = []
-    for theta in probes:
-        h_m = Fraction(_isupport(rows_m, theta), s_m)
-        h_p = Fraction(_isupport(rows_p, theta), s_p)
-        h_n = Fraction(_isupport(rows_n, theta), s_n)
-        log.append((theta, h_m, h_p, h_n))
-    cert = DecompositionCertificate(
-        direction=direction,
-        epsilon=eps,
-        menu_plus=plus,
-        menu_minus=minus,
-        probe_log=tuple(log),
-    )
+    cert = DecompositionCertificate(direction=direction, epsilon=eps, menu_plus=plus, menu_minus=minus)
     res = verify_certificate(cert, em, space)
     if not res:
-        raise geo.GeometryError(f"decomposition certificate failed verification: {res.failure}")
+        raise geo.GeometryError(f"decomposition certificate failed verification: {res.failure} (internal)")
     return cert
 
 
@@ -226,12 +204,12 @@ def _int_menu(items):
     return rows, scale
 
 
-def _isupport(rows, probe):
-    """Exact integer support value max_r r . probe."""
+def _isupport(rows, normal):
+    """Exact integer support value max_r r . normal."""
     best = None
     for r in rows:
         s = 0
-        for a, b in zip(r, probe):
+        for a, b in zip(r, normal):
             s += a * b
         if best is None or s > best:
             best = s
@@ -240,8 +218,6 @@ def _isupport(rows, probe):
 
 def _require_direction_in_nullspace(em, space, direction):
     system = build_deformation_system(em, space)
-    d = space.dim
-    n = len(em.vertices)
     flat = [x for p in direction.psi for x in p] + list(direction.mu)
     if len(flat) != system.ncols:
         raise geo.GeometryError("direction has wrong shape for this menu")
@@ -261,59 +237,21 @@ def _displace(vertices, psi, eps):
     return tuple(out)
 
 
-def _probe_directions(em: ExtendedMenu, space: AllocationSpace):
-    """Facet normals of M, one exposing direction per bounded edge, and 256
-    seeded rational directions in the type cone, all as integer tuples."""
-    probes = []
-    for h in em.poly.halfspaces:
-        probes.append(tuple(h.normal))
-    for (i, j) in em.edges:
-        common = em.poly.incidence[i] & em.poly.incidence[j]
-        s = (0,) * space.dim
-        for k in sorted(common):
-            s = tuple(a + b for a, b in zip(s, em.poly.halfspaces[k].normal))
-        if any(s):
-            probes.append(s)
-    cone_rays = _cone_rays_from_polar(em, space.dim)
-    rng = random.Random(_PROBE_SEED)
-    made = 0
-    while made < PROBE_COUNT:
-        coeffs = [rng.randrange(0, 9) for _ in cone_rays]
-        theta = (0,) * space.dim
-        for c, r in zip(coeffs, cone_rays):
-            if c:
-                theta = tuple(a + c * b for a, b in zip(theta, r))
-        if not any(theta):
-            continue
-        probes.append(theta)
-        made += 1
-    return probes
-
-
-def _cone_rays_from_polar(em: ExtendedMenu, d: int):
-    """Generators of the type cone, recovered as the polar of the recession cone."""
-    polar = em.poly.rays
-    if not polar:
-        rays = []
-        for i in range(d):
-            e = [0] * d
-            e[i] = 1
-            rays.append(tuple(e))
-            rays.append(tuple(-x for x in e))
-        return rays
-    lines, rays = geo.cone_generators(list(polar), d)
-    out = list(rays)
-    for l in lines:
-        out.append(tuple(l))
-        out.append(tuple(-x for x in l))
-    return out
-
-
 def verify_certificate(cert: DecompositionCertificate, em: ExtendedMenu, space: AllocationSpace) -> VerificationResult:
-    """Exact support-value identity on facet normals, edge directions and the
-    probe log, plus menu validity and IR membership of both summands."""
-    if len(cert.probe_log) < PROBE_COUNT:
-        return VerificationResult(False, f"probe log too short ({len(cert.probe_log)})")
+    """Complete exact proof that M = (P + Q) / 2.
+
+    Here P = conv(menu_plus) + C and Q = conv(menu_minus) + C, with C the
+    recession cone of M, so (P + Q) / 2 = conv{(p + q) / 2} + C. Both summands
+    must be distinct valid menus: nonempty, without duplicates, inside A, and
+    holding the veto allocation when A has one (IR). Then two finite checks
+    decide the identity:
+
+    (a) h_P(n) + h_Q(n) = 2 h_M(n) for every halfspace n . x <= b of M
+        (facets and affine-hull cutters), so every pairwise midpoint lies in
+        M and (P + Q) / 2 is inside M;
+    (b) every vertex v of M has some p in menu_plus with 2v - p in
+        menu_minus, so every vertex is a midpoint and M is inside (P + Q) / 2.
+    """
     plus = list(cert.menu_plus)
     minus = list(cert.menu_minus)
     if not plus or not minus:
@@ -335,25 +273,16 @@ def verify_certificate(cert: DecompositionCertificate, em: ExtendedMenu, space: 
     rows_m, s_m = _int_menu(em.vertices)
     rows_p, s_p = _int_menu(plus)
     rows_n, s_n = _int_menu(minus)
-    half = Fraction(1, 2)
-
-    def identity_at(theta):
-        h_m = Fraction(_isupport(rows_m, theta), s_m)
-        h_p = Fraction(_isupport(rows_p, theta), s_p)
-        h_n = Fraction(_isupport(rows_n, theta), s_n)
-        return h_m, h_p, h_n, h_m == half * h_p + half * h_n
-
     for h in em.poly.halfspaces:
-        theta = tuple(h.normal)
-        if not identity_at(theta)[3]:
-            return VerificationResult(False, "support identity failed", theta)
-    for (theta, h_m, h_p, h_n) in cert.probe_log:
-        theta = tuple(theta)
-        hm2, hp2, hn2, ok = identity_at(theta)
-        if not ok:
-            return VerificationResult(False, "support identity failed", theta)
-        if (hm2, hp2, hn2) != (h_m, h_p, h_n):
-            return VerificationResult(False, "stale probe log", theta)
+        h_m = Fraction(_isupport(rows_m, h.normal), s_m)
+        h_p = Fraction(_isupport(rows_p, h.normal), s_p)
+        h_n = Fraction(_isupport(rows_n, h.normal), s_n)
+        if h_p + h_n != 2 * h_m:
+            return VerificationResult(False, "support identity failed", tuple(h.normal))
+    minus_set = set(minus)
+    for v in em.vertices:
+        if not any(tuple(2 * a - b for a, b in zip(v, p)) in minus_set for p in plus):
+            return VerificationResult(False, f"vertex {v} of M is no midpoint of the summands")
     return VerificationResult(True)
 
 

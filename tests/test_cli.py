@@ -23,17 +23,11 @@ POSTED = {
 }
 
 
-def run_cli(args, env_extra=None):
-    import os
-
-    env = dict(os.environ)
-    if env_extra:
-        env.update(env_extra)
+def run_cli(args):
     return subprocess.run(
         [sys.executable, "-m", "extremenu.cli", *args],
         capture_output=True,
         text=True,
-        env=env,
     )
 
 
@@ -113,6 +107,15 @@ def test_decompose_reports_trivial_nullspace_for_extreme(tmp_path):
     rep = json.loads(r.stdout)
     assert rep["extremality"]["nullspace_dimension"] == 0
     assert "no decomposition exists" in rep["extremality"]["certificate"]
+
+
+def test_decompose_ships_verified_certificate(tmp_path):
+    path = write_scenario(tmp_path, dict(POSTED, menu=[["0", "0"], ["1/2", "1/8"], ["1", "1/2"]]))
+    r = run_cli(["decompose", path])
+    assert r.returncode == 0, r.stderr
+    cert = json.loads(r.stdout)["extremality"]["certificate"]
+    assert cert["verification"] == "midpoint-containment"
+    assert "probes_checked" not in cert
 
 
 def test_classify2d_rejects_d3(tmp_path):
@@ -220,11 +223,3 @@ def test_veto_command(tmp_path):
     r = run_cli(["veto", path])
     rep = json.loads(r.stdout)
     assert rep["veto_bargaining"]["undominated"] is True
-
-
-def test_reports_identical_across_kernel_backends(tmp_path):
-    path = write_scenario(tmp_path, POSTED)
-    compiled = run_cli(["analyze", path])
-    pure = run_cli(["analyze", path], env_extra={"EXTREMENU_PURE_PYTHON": "1"})
-    assert compiled.returncode == pure.returncode == 0
-    assert compiled.stdout == pure.stdout

@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction as F
 
 import pytest
@@ -6,6 +7,7 @@ from corpus import CORPUS, CORPUS_BY_NAME
 from extremenu import geometry as geo
 from extremenu.exhaustive import is_exhaustive
 from extremenu.extremality import (
+    DecompositionCertificate,
     DeformationDirection,
     build_deformation_system,
     def_polytope_cross_check,
@@ -78,7 +80,26 @@ def test_prism_certificate_verifies():
     cert = extract_decomposition(em, sc.space, verdict.direction)
     assert verify_certificate(cert, em, sc.space).ok
     assert set(cert.menu_plus) != set(cert.menu_minus)
-    assert len(cert.probe_log) >= 256
+
+
+def test_matching_facet_supports_without_vertex_midpoints_rejected():
+    # M = unit square, P = the diamond through its edge midpoints, Q = M.
+    # Support values agree on every facet normal of M (check (a) passes),
+    # but (P + Q) / 2 misses the corners of M, so check (b) must reject.
+    space = cube_space(2)
+    sc = validate_scenario(space, unrestricted_cone(2), [(0, 0), (1, 0), (0, 1), (1, 1)])
+    em = extended_menu(sc)
+    half = F(1, 2)
+    diamond = tuple(as_vec(p) for p in ((half, 0), (1, half), (half, 1), (0, half)))
+    cert = DecompositionCertificate(
+        direction=DeformationDirection(psi=(), mu=()),
+        epsilon=F(0),
+        menu_plus=diamond,
+        menu_minus=em.vertices,
+    )
+    res = verify_certificate(cert, em, space)
+    assert not res.ok
+    assert any(f"vertex {v} " in res.failure for v in em.vertices), res.failure
 
 
 def test_parallel_segment_translation_decomposition():
@@ -97,20 +118,42 @@ def test_tampered_certificate_rejected():
     cert = extract_decomposition(em, sc.space, verdict.direction)
     bad_menu = list(cert.menu_plus)
     bad_menu[0] = tuple(c + F(1, 1000) for c in bad_menu[0])
-    import dataclasses
-
     tampered = dataclasses.replace(cert, menu_plus=tuple(bad_menu))
     res = verify_certificate(tampered, em, sc.space)
     assert not res.ok
     assert res.failure is not None
 
 
+def test_every_shifted_summand_item_rejected_on_corpus():
+    # shift each non-veto item of either summand by +-1/1000 in one
+    # coordinate; the exact check must reject every such certificate
+    tried = rejected = 0
+    for case in CORPUS:
+        sc = case.scenario
+        em = extended_menu(sc)
+        verdict = is_extreme_finite(em, sc.space)
+        if verdict.extreme:
+            continue
+        cert = extract_decomposition(em, sc.space, verdict.direction)
+        for field in ("menu_plus", "menu_minus"):
+            items = getattr(cert, field)
+            for k, p in enumerate(items):
+                if p == sc.space.veto:
+                    continue
+                for c in range(len(p)):
+                    for step in (F(1, 1000), F(-1, 1000)):
+                        q = p[:c] + (p[c] + step,) + p[c + 1:]
+                        shifted = items[:k] + (q,) + items[k + 1:]
+                        tampered = dataclasses.replace(cert, **{field: shifted})
+                        tried += 1
+                        rejected += not verify_certificate(tampered, em, sc.space).ok
+    assert rejected == tried == 360
+
+
 def test_certificate_without_veto_rejected():
     sc, em = em_of("monopoly_three_item")
     verdict = is_extreme_finite(em, sc.space)
     cert = extract_decomposition(em, sc.space, verdict.direction)
-    import dataclasses
-
     stripped = dataclasses.replace(
         cert, menu_plus=tuple(p for p in cert.menu_plus if p != sc.space.veto)
     )
@@ -129,9 +172,10 @@ def test_direction_not_in_nullspace_rejected():
 
 
 def test_summand_average_rebuilds_extension_exactly():
-    # structural identity, stronger than the probe checks: the polyhedron
-    # generated by all pairwise midpoints of the two summand menus (plus the
-    # polar rays) is canonically identical to the original extension
+    # structural identity, independent of verify_certificate's support and
+    # midpoint checks: the polyhedron generated by all pairwise midpoints of
+    # the two summand menus (plus the polar rays) is canonically identical to
+    # the original extension
     import extremenu.geometry as geo
 
     checked = 0
