@@ -67,6 +67,13 @@ def parse_vec(values) -> tuple:
     return tuple(parse_q(x) for x in values)
 
 
+def _preset_int(spec: dict, key: str, preset: str, least: int = 1) -> int:
+    value = spec.get(key)
+    if isinstance(value, bool) or not isinstance(value, int) or value < least:
+        raise ScenarioError(f"{preset} preset needs an integer {key} >= {least}")
+    return value
+
+
 def _reject_unknown(obj: dict, allowed, where: str):
     for key in obj:
         if key not in allowed:
@@ -99,19 +106,16 @@ def _parse_space(spec, veto):
         _reject_unknown(spec, {"preset", "d", "m", "kappa"}, "space")
         preset = spec["preset"]
         if preset == "simplex":
-            d = spec.get("d")
-            if not isinstance(d, int) or d < 1:
-                raise ScenarioError("simplex preset needs an integer d >= 1")
-            return simplex_space(d, veto=veto), "unrestricted"
+            return simplex_space(_preset_int(spec, "d", "simplex"), veto=veto), "unrestricted"
         if preset == "cube":
-            d = spec.get("d")
-            if not isinstance(d, int) or d < 1:
-                raise ScenarioError("cube preset needs an integer d >= 1")
-            return cube_space(d, veto=veto), "unrestricted"
+            return cube_space(_preset_int(spec, "d", "cube"), veto=veto), "unrestricted"
         if preset == "monopoly":
-            m = spec.get("m", spec.get("d", 0) - 1 if isinstance(spec.get("d"), int) else None)
-            if not isinstance(m, int) or m < 1:
-                raise ScenarioError("monopoly preset needs an integer m >= 1")
+            if "d" in spec:
+                m = _preset_int(spec, "d", "monopoly", least=2) - 1
+                if "m" in spec and _preset_int(spec, "m", "monopoly") != m:
+                    raise ScenarioError("monopoly preset needs d = m + 1")
+            else:
+                m = _preset_int(spec, "m", "monopoly")
             kappa = parse_q(spec.get("kappa", 1))
             space = monopoly_space(m, kappa)
             if veto is not None and veto != space.veto:
@@ -125,6 +129,8 @@ def _parse_space(spec, veto):
             if not isinstance(h, dict):
                 raise ScenarioError("each halfspace must be an object")
             _reject_unknown(h, {"normal", "offset"}, f"halfspace {i}")
+            if "normal" not in h or "offset" not in h:
+                raise ScenarioError(f"halfspace {i} needs 'normal' and 'offset'")
             hs.append(Hyperplane.make(parse_vec(h["normal"]), parse_q(h["offset"])))
         return allocation_space_from_halfspaces(hs, veto=veto), "unrestricted"
     raise ScenarioError("'space' needs 'preset' or 'halfspaces'")
@@ -139,7 +145,10 @@ def _parse_cone(spec, d):
         return monopoly_cone(d - 1)
     if isinstance(spec, dict):
         _reject_unknown(spec, {"rays"}, "cone")
-        return make_type_cone([parse_vec(r) for r in spec["rays"]])
+        rays = spec.get("rays")
+        if not isinstance(rays, list) or not rays:
+            raise ScenarioError("cone 'rays' must be a nonempty list of rays")
+        return make_type_cone([parse_vec(r) for r in rays])
     raise ScenarioError(f"cone must be 'unrestricted', 'monopoly', or {{'rays': ...}}")
 
 

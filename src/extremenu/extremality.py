@@ -11,6 +11,8 @@ verified Minkowski decomposition of the extended menu.
 The independent cross-check encodes the same question as a vertex test on
 the lifted deformation polytope (offsets of the menu's own facet-defining
 hyperplanes plus one point per vertex) and must always agree.
+Both systems are written as sparse primitive integer rows {column: int} for
+the integer kernels (kernels.nullspace, kernels.rref_sparse).
 """
 
 from __future__ import annotations
@@ -20,7 +22,8 @@ from fractions import Fraction
 from math import gcd
 
 from . import geometry as geo
-from .geometry import as_vec, dot, is_zero, nullspace_basis, rank, solve_affine, vadd, vscale, vsub
+from .geometry import as_vec, dot, is_zero, rank, solve_affine, vadd, vscale, vsub
+from .kernels import nullspace, rref_sparse
 from .model import AllocationSpace, ExtendedMenu, Menu, TypeCone, extend_menu
 
 @dataclass(frozen=True)
@@ -28,10 +31,10 @@ class DeformationSystem:
     """Homogeneous system whose nullspace decides extremality.
 
     Columns: d coordinates of psi_a per vertex (vertex-major), then one mu_e
-    per bounded edge. Rows: the edge equations mu_e (a - b) = psi_a - psi_b
-    and the facet equations psi_a . n_H = 0 for H in F(a). The inequality
-    family (facets not touched by a) is strict at the trivial solution and is
-    recorded with its slack.
+    per bounded edge. Rows, as primitive integer dicts {column: int}: the edge
+    equations mu_e (a - b) = psi_a - psi_b and the facet equations
+    psi_a . n_H = 0 for H in F(a). The inequality family (facets not touched
+    by a) is strict at the trivial solution and is recorded with its slack.
     """
 
     vertices: tuple
@@ -39,14 +42,6 @@ class DeformationSystem:
     rows: tuple
     ncols: int
     strict_slacks: tuple  # (vertex_index, facet_index, positive slack)
-
-    def psi_col(self, vertex: int, coord: int) -> int:
-        d = len(self.vertices[0])
-        return vertex * d + coord
-
-    def mu_col(self, edge: int) -> int:
-        d = len(self.vertices[0])
-        return len(self.vertices) * d + edge
 
 
 @dataclass(frozen=True)
@@ -88,26 +83,21 @@ def build_deformation_system(em: ExtendedMenu, space: AllocationSpace) -> Deform
     ncols = d * n + len(em.edges)
     rows = []
     for k, (i, j) in enumerate(em.edges):
-        diff = vsub(em.vertices[i], em.vertices[j])
-        for c in range(d):
-            row = [Fraction(0)] * ncols
-            row[d * n + k] = diff[c]
-            row[i * d + c] -= 1
-            row[j * d + c] += 1
-            rows.append(tuple(row))
-    for i, v in enumerate(em.vertices):
+        for c, x in enumerate(vsub(em.vertices[i], em.vertices[j])):
+            # x mu_k - psi_i,c + psi_j,c = 0, cleared of x's denominator
+            row = {i * d + c: -x.denominator, j * d + c: x.denominator}
+            if x:
+                row[d * n + k] = x.numerator
+            rows.append(row)
+    for i in range(n):
         for f in sorted(em.facet_incidence[i]):
-            h = space.facets[f]
-            row = [Fraction(0)] * ncols
-            for c in range(d):
-                row[i * d + c] = Fraction(h.normal[c])
-            rows.append(tuple(row))
+            normal = space.facets[f].normal
+            rows.append({i * d + c: a for c, a in enumerate(normal) if a})
     slacks = []
     for i, v in enumerate(em.vertices):
-        for f in range(len(space.facets)):
+        for f, h in enumerate(space.facets):
             if f in em.facet_incidence[i]:
                 continue
-            h = space.facets[f]
             s = h.offset - h.value(v)
             if s <= 0:
                 raise geo.GeometryError("non-incident facet without slack (internal)")
@@ -130,13 +120,10 @@ def is_extreme_finite(em: ExtendedMenu, space: AllocationSpace) -> ExtremalityVe
     nontrivial; a nonzero direction is returned as the witness.
     """
     system = build_deformation_system(em, space)
-    rows = list(system.rows)
-    if not rows:
-        rows = [tuple([Fraction(0)] * system.ncols)]
-    basis = nullspace_basis(rows)
+    basis = nullspace(system.rows, system.ncols)
     if not basis:
         return ExtremalityVerdict(extreme=True, nullity=0)
-    direction = _decode_direction(basis[0], em, space.dim)
+    direction = _decode_direction(as_vec(basis[0]), em, space.dim)
     return ExtremalityVerdict(extreme=False, nullity=len(basis), direction=direction)
 
 
@@ -163,17 +150,13 @@ def extract_decomposition(
     is proved correct by verify_certificate before it is returned; a failed
     proof raises GeometryError.
     """
-    _require_direction_in_nullspace(em, space, direction)
+    system = build_deformation_system(em, space)
+    _require_direction_in_nullspace(system, direction)
     eps = Fraction(1)
-    for i, v in enumerate(em.vertices):
-        psi = direction.psi[i]
-        for f in range(len(space.facets)):
-            if f in em.facet_incidence[i]:
-                continue
-            h = space.facets[f]
-            drift = dot(as_vec(h.normal), psi)
-            if drift != 0:
-                eps = min(eps, (h.offset - h.value(v)) / abs(drift))
+    for i, f, slack in system.strict_slacks:
+        drift = dot(space.facets[f].normal, direction.psi[i])
+        if drift != 0:
+            eps = min(eps, slack / abs(drift))
     for m in direction.mu:
         if m != 0:
             eps = min(eps, Fraction(1) / abs(m))
@@ -216,15 +199,14 @@ def _isupport(rows, normal):
     return best
 
 
-def _require_direction_in_nullspace(em, space, direction):
-    system = build_deformation_system(em, space)
+def _require_direction_in_nullspace(system, direction):
     flat = [x for p in direction.psi for x in p] + list(direction.mu)
     if len(flat) != system.ncols:
         raise geo.GeometryError("direction has wrong shape for this menu")
     if all(x == 0 for x in flat):
         raise geo.GeometryError("direction must be nonzero")
     for row in system.rows:
-        if dot(as_vec(row), as_vec(flat)) != 0:
+        if sum(a * flat[c] for c, a in row.items()) != 0:
             raise geo.GeometryError("direction is not in the deformation nullspace")
 
 
@@ -308,17 +290,13 @@ def def_polytope_cross_check(em: ExtendedMenu, space: AllocationSpace) -> bool:
     rows = []
     for i in range(n):
         for h_idx in sorted(em.poly.incidence[i]):
-            row = [Fraction(0)] * ncols
-            row[h_idx] = Fraction(-1)
-            for c in range(d):
-                row[k + i * d + c] = Fraction(hm[h_idx].normal[c])
+            row = {k + i * d + c: a for c, a in enumerate(hm[h_idx].normal) if a}
+            row[h_idx] = -1
             rows.append(row)
         for f in sorted(em.facet_incidence[i]):
-            row = [Fraction(0)] * ncols
-            for c in range(d):
-                row[k + i * d + c] = Fraction(space.facets[f].normal[c])
-            rows.append(row)
-    return rank(rows) == ncols
+            rows.append({k + i * d + c: a for c, a in enumerate(space.facets[f].normal) if a})
+    pivots, _ = rref_sparse(rows, ncols)
+    return len(pivots) == ncols
 
 
 def is_deformation(em: ExtendedMenu, other: ExtendedMenu) -> bool:

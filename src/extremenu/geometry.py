@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .kernels import rref_sparse
+from .kernels import nullspace, rref_sparse
 
 Vec = tuple  # tuple[Fraction, ...]
 
@@ -127,28 +127,13 @@ def rank(matrix) -> int:
 
 
 def nullspace_basis(matrix) -> list:
-    """Basis of {x : Mx = 0}, as primitive integer vectors (Fractions).
-
-    Deterministic: one basis vector per free column in ascending column order,
-    with +1 in the free coordinate before scaling. rank + len(basis) = ncols.
+    """Basis of {x : Mx = 0} for a dense rational matrix, as primitive integer
+    vectors (Fractions); see kernels.nullspace for the order.
     """
     matrix = list(matrix)
     if not matrix:
         return []
-    ncols = len(matrix[0])
-    pivots, reduced = rref_sparse(_sparse_int_rows(matrix), ncols)
-    pivot_set = set(pivots)
-    basis = []
-    for f in range(ncols):
-        if f in pivot_set:
-            continue
-        x = [Fraction(0)] * ncols
-        x[f] = Fraction(1)
-        for pc, row in zip(pivots, reduced):
-            if f in row:
-                x[pc] = Fraction(-row[f], row[pc])
-        basis.append(as_vec(primitive(x)))
-    return basis
+    return [as_vec(v) for v in nullspace(_sparse_int_rows(matrix), len(matrix[0]))]
 
 
 def solve_affine(matrix, rhs):

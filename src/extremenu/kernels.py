@@ -1,7 +1,8 @@
-"""Exact sparse integer row reduction.
+"""Exact sparse integer row reduction and nullspace bases.
 
-Rows are dicts mapping column index -> nonzero int. All arithmetic is exact;
-rows are kept primitive (content 1) after every update so entries stay small.
+Rows are dicts mapping column index -> nonzero int. All arithmetic is exact
+and integer-only; rows are kept primitive (content 1) after every update so
+entries stay small, in the spirit of fraction-free (Bareiss) elimination.
 """
 
 from math import gcd
@@ -69,6 +70,30 @@ def rref_sparse(rows, ncols):
         reduced.append(prow)
         pivots.append(col)
     return pivots, reduced
+
+
+def nullspace(rows, ncols):
+    """Basis of {x : r . x = 0 for every row r}, as primitive integer tuples.
+
+    rows: sparse integer rows as for rref_sparse. Deterministic: one vector per
+    free column in ascending order, positive in its free coordinate, and
+    otherwise zero on the other free columns; with no rows every column is
+    free and the basis is the unit vectors.
+    """
+    pivots, reduced = rref_sparse(rows, ncols)
+    pivot_set = set(pivots)
+    basis = []
+    for f in range(ncols):
+        if f in pivot_set:
+            continue
+        # x[f] = s, x[pc] = -row[f] * s / row[pc]; s clears the pivot entries
+        hits = [(pc, row) for pc, row in zip(pivots, reduced) if f in row]
+        s = 1
+        for pc, row in hits:
+            s = s * row[pc] // gcd(s, row[pc])
+        x = _normalize({f: s, **{pc: -row[f] * (s // row[pc]) for pc, row in hits}})
+        basis.append(tuple(x.get(c, 0) for c in range(ncols)))
+    return basis
 
 
 def _eliminate(row, prow, col, p):

@@ -80,23 +80,24 @@ def allocation_space_from_points(points, veto=None) -> AllocationSpace:
     return _finish_space(poly, veto)
 
 
-def allocation_space_from_halfspaces(halfspaces, veto=None, check_irredundant=True) -> AllocationSpace:
-    """Allocation space from explicit halfspaces; irredundancy enforced via LP."""
+def allocation_space_from_halfspaces(halfspaces, veto=None) -> AllocationSpace:
+    """Allocation space from explicit halfspaces, each of which must be a facet.
+
+    A bounded full-dimensional A has exactly its irredundant inputs as facets,
+    so the first input (in order) that is no facet of A or is stated twice is
+    reported as redundant.
+    """
     hs = [h if isinstance(h, Hyperplane) else Hyperplane.make(*h) for h in halfspaces]
-    if check_irredundant:
-        for i, h in enumerate(hs):
-            others = hs[:i] + hs[i + 1:]
-            if not others:
-                continue
-            res = geo.lp_solve(others, h.normal, "max")
-            if res.status == "optimal" and res.value <= h.offset:
-                raise ScenarioError(
-                    f"redundant facet: {render_linear(h.normal, h.offset)}"
-                )
     poly = geo.polyhedron_from_halfspaces(hs)
     if poly.is_empty:
         raise ScenarioError("allocation space is empty")
-    return _finish_space(poly, veto)
+    space = _finish_space(poly, veto)
+    facet_keys = {h.key() for h in space.facets}
+    keys = [h.key() for h in hs]
+    for h, key in zip(hs, keys):
+        if key not in facet_keys or keys.count(key) > 1:
+            raise ScenarioError(f"redundant facet: {render_linear(h.normal, h.offset)}")
+    return space
 
 
 def _finish_space(poly: Polyhedron, veto) -> AllocationSpace:

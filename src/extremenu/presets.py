@@ -1,8 +1,8 @@
 """Problem presets: unit simplex, unit cube, and multi-good monopoly.
 
 These build validated allocation spaces and type cones from generators, so
-no LP irredundancy pass is needed (the facet lists come out of the exact
-dual description directly).
+no irredundancy check is needed (the facet lists come out of the exact dual
+description directly).
 """
 
 from __future__ import annotations

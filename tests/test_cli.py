@@ -1,4 +1,5 @@
 import json
+import re
 import subprocess
 import sys
 
@@ -126,6 +127,42 @@ def test_classify2d_rejects_d3(tmp_path):
     r = run_cli(["classify2d", path])
     assert r.returncode == 1
     assert "requires d = 2" in r.stderr
+
+
+SQUARE = [{"normal": [1, 0], "offset": 1}, {"normal": [-1, 0], "offset": 0},
+          {"normal": [0, 1], "offset": 1}, {"normal": [0, -1], "offset": 0}]
+
+
+@pytest.mark.parametrize("space, cone, message", [
+    # strictly redundant (never tight), weakly redundant (tight only at the
+    # vertex (1, 1)), and the facet a1 <= 1 stated a second time
+    ({"halfspaces": SQUARE + [{"normal": [1, 1], "offset": 3}]}, None,
+     "redundant facet: a1 + a2 <= 3"),
+    ({"halfspaces": SQUARE + [{"normal": [1, 1], "offset": 2}]}, None,
+     "redundant facet: a1 + a2 <= 2"),
+    ({"halfspaces": SQUARE + [{"normal": [2, 0], "offset": 2}]}, None,
+     "redundant facet: a1 <= 1"),
+    ({"halfspaces": SQUARE[:3] + [{"offset": 0}]}, None, "halfspace 3 needs 'normal' and 'offset'"),
+    ({"halfspaces": SQUARE[:3] + [{"normal": [0, -1]}]}, None, "halfspace 3 needs 'normal' and 'offset'"),
+    ({"preset": "simplex", "d": 2}, {"rays": []}, "cone 'rays' must be a nonempty list of rays"),
+    ({"preset": "simplex", "d": 2}, {}, "cone 'rays' must be a nonempty list of rays"),
+    ({"preset": "simplex", "d": True}, None, "simplex preset needs an integer d >= 1"),
+    ({"preset": "cube", "d": True}, None, "cube preset needs an integer d >= 1"),
+    ({"preset": "monopoly", "m": True}, None, "monopoly preset needs an integer m >= 1"),
+    ({"preset": "monopoly", "d": True}, None, "monopoly preset needs an integer d >= 2"),
+    ({"preset": "monopoly", "m": 1, "d": 3}, None, "monopoly preset needs d = m + 1"),
+])
+def test_malformed_scenario_is_one_line_diagnostic(tmp_path, space, cone, message):
+    data = {"space": space, "menu": [[0, 0]]}
+    if cone is not None:
+        data["cone"] = cone
+    path = write_scenario(tmp_path, data)
+    with pytest.raises(ScenarioError, match=f"^{re.escape(message)}$"):
+        cli.parse_scenario(path)
+    r = run_cli(["analyze", path])
+    assert r.returncode == 1
+    assert r.stderr.splitlines() == [f"error: {message}"]
+    assert "Traceback" not in r.stderr
 
 
 def test_missing_file_is_diagnostic():
