@@ -23,7 +23,7 @@ from .extremality import (
     extract_decomposition,
     is_extreme_finite,
 )
-from .geometry import GeometryError, Hyperplane, frac
+from .geometry import GeometryError, Hyperplane
 from .model import (
     ConstantObjective,
     Scenario,
@@ -170,13 +170,16 @@ def _parse_objective(spec):
     raise ScenarioError("objective needs 'constant' or 'table'")
 
 
-def parse_scenario(path: str) -> Scenario:
+def _load_json(path: str):
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            data = json.load(fh)
+            return json.load(fh)
         except json.JSONDecodeError as e:
             raise ScenarioError(f"invalid JSON in {path}: {e}") from None
-    return scenario_from_dict(data)
+
+
+def parse_scenario(path: str) -> Scenario:
+    return scenario_from_dict(_load_json(path))
 
 
 def scenario_to_dict(scenario: Scenario) -> dict:
@@ -204,12 +207,13 @@ def scenario_to_dict(scenario: Scenario) -> dict:
 
 
 def parse_sample(path: str, cone) -> apps.TypeSample:
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+    data = _load_json(path)
     if not isinstance(data, list):
         raise ScenarioError("sample file must hold a JSON list")
     entries = []
     for row in data:
+        if not isinstance(row, dict) or "theta" not in row or "weight" not in row:
+            raise ScenarioError("each sample row must be an object with 'theta' and 'weight'")
         _reject_unknown(row, {"theta", "weight"}, "sample row")
         entries.append((parse_vec(row["theta"]), parse_q(row["weight"])))
     return apps.make_type_sample(entries, cone)
@@ -323,7 +327,7 @@ def run_command(name: str, scenario: Scenario, flags) -> dict:
         report["extremality"] = _extremality_block(scenario, em)
     elif name == "perturb":
         result = perturb_to_extreme(
-            scenario.menu, scenario.space, scenario.cone, flags.delta, flags.seed
+            scenario.menu, scenario.space, scenario.cone, parse_q(flags.delta), flags.seed
         )
         report["perturbation"] = {
             "delta": fmt_q(result.delta),
@@ -350,7 +354,7 @@ def run_command(name: str, scenario: Scenario, flags) -> dict:
         if flags.nudge:
             if flags.eps is None or flags.delta is None:
                 raise ScenarioError("monopoly --nudge needs --eps and --delta")
-            nr = apps.monopoly_nudge(scenario, frac(flags.eps), frac(flags.delta))
+            nr = apps.monopoly_nudge(scenario, parse_q(flags.eps), parse_q(flags.delta))
             analysis = apps.monopoly_pricing_analysis(nr.scenario)
             report["nudge"] = {
                 "menu": [fmt_vec(p) for p in nr.scenario.menu.items],
@@ -360,7 +364,7 @@ def run_command(name: str, scenario: Scenario, flags) -> dict:
         else:
             analysis = apps.monopoly_pricing_analysis(scenario)
             if flags.delta is not None:
-                report["margin_at_least_requested"] = analysis.delta_margin >= frac(flags.delta)
+                report["margin_at_least_requested"] = analysis.delta_margin >= parse_q(flags.delta)
         report["pricing"] = {
             "gradients": [fmt_vec(g) for g in analysis.gradients],
             "component_ranges": [[fmt_q(a), fmt_q(b)] for a, b in analysis.component_ranges],

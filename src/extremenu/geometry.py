@@ -1,8 +1,10 @@
 """Exact rational linear algebra and polyhedral computation.
 
-Everything here is exact: coordinates are ``fractions.Fraction``, hyperplane
-normals are primitive integer vectors, and all combinatorial decisions
-(rank, incidence, feasibility) are made with integer arithmetic. Floating
+Everything here is exact: coordinates are ``fractions.Fraction`` and
+hyperplane normals are primitive integer vectors. Rank is decided by
+integer elimination, incidence by cross-multiplying an integer numerator and
+denominator of normal . x with the offset, and edges by the combinatorial
+adjacency test on incidence sets; only the LP pivots in Fractions. Floating
 point never appears. The scale target is small (ambient dimension <= 6,
 tens of generators/halfspaces), so the algorithms favour determinism and
 verifiability over asymptotics.
@@ -175,6 +177,22 @@ def affine_rank(points, rays=()) -> int:
 # hyperplanes
 
 
+def _int_dot(normal, x):
+    """Integer normal . rational x as an unreduced (numerator, denominator > 0)."""
+    if len(normal) != len(x):
+        raise GeometryError(f"dimension mismatch: {len(normal)} vs {len(x)}")
+    num, den = 0, 1
+    for a, c in zip(normal, x):
+        if a:
+            q = c.denominator
+            if q == den:
+                num += a * c.numerator
+            else:
+                num = num * q + a * c.numerator * den
+                den *= q
+    return num, den
+
+
 @dataclass(frozen=True)
 class Hyperplane:
     """Halfspace {x : normal . x <= offset} with primitive integer normal.
@@ -206,13 +224,15 @@ class Hyperplane:
         return len(self.normal)
 
     def value(self, x) -> Fraction:
-        return dot(self.normal, x)
+        return Fraction(*_int_dot(self.normal, x))
 
     def contains(self, x) -> bool:
-        return self.value(x) <= self.offset
+        num, den = _int_dot(self.normal, x)
+        return num * self.offset.denominator <= self.offset.numerator * den
 
     def tight_at(self, x) -> bool:
-        return self.value(x) == self.offset
+        num, den = _int_dot(self.normal, x)
+        return num * self.offset.denominator == self.offset.numerator * den
 
     def flipped(self) -> "Hyperplane":
         return Hyperplane(tuple(-a for a in self.normal), -self.offset)
@@ -248,10 +268,8 @@ def cone_generators(constraints, n: int):
             raise GeometryError("cone constraint dimension mismatch")
     lines = [primitive(unit_vec(n, i)) for i in range(n)]
     rays = []  # list of (vector, zeroset frozenset of processed constraint idx)
-    processed = []
     for k, a in enumerate(cons):
         if is_zero(a):
-            processed.append(a)
             # trivially satisfied; tight everywhere
             rays = [(r, z | {k}) for r, z in rays]
             continue
@@ -263,25 +281,18 @@ def cone_generators(constraints, n: int):
             if d0 > 0:
                 l0 = tuple(-x for x in l0)
                 d0 = -d0
-            new_lines = []
-            for i, l in enumerate(lines):
-                if i == hit:
-                    continue
-                if lvals[i] == 0:
-                    new_lines.append(l)
-                else:
-                    new_lines.append(primitive([d0 * x - lvals[i] * y for x, y in zip(l, l0)]))
+            new_lines = [l if lvals[i] == 0
+                         else primitive([d0 * x - lvals[i] * y for x, y in zip(l, l0)])
+                         for i, l in enumerate(lines) if i != hit]
             new_rays = []
             for r, z in rays:
                 rv = _idot(a, r)
-                if rv == 0:
-                    new_rays.append((r, z | {k}))
-                else:
+                if rv != 0:
                     # shift along the line to the hyperplane, keeping the ray's
                     # own coefficient positive (d0 < 0 by orientation)
-                    adj = primitive([(-d0) * x + rv * y for x, y in zip(r, l0)])
-                    new_rays.append((adj, z | {k}))
-            new_rays.append((primitive(l0), frozenset(range(len(processed)))))
+                    r = primitive([(-d0) * x + rv * y for x, y in zip(r, l0)])
+                new_rays.append((r, z | {k}))
+            new_rays.append((primitive(l0), frozenset(range(k))))
             lines = new_lines
             rays = new_rays
         else:
@@ -292,25 +303,17 @@ def cone_generators(constraints, n: int):
             if pos:
                 new_rays = [(rays[i][0], rays[i][1]) for i in neg]
                 new_rays += [(rays[i][0], rays[i][1] | {k}) for i in zero]
+                zsets = [z for _, z in rays]
                 for ip in pos:
-                    rp, zp = rays[ip]
                     for im in neg:
-                        rm, zm = rays[im]
-                        common = zp & zm
-                        adjacent = True
-                        for j, (ro, zo) in enumerate(rays):
-                            if j != ip and j != im and common <= zo:
-                                adjacent = False
-                                break
-                        if not adjacent:
-                            continue
-                        w = primitive([vals[ip] * x - vals[im] * y for x, y in zip(rm, rp)])
-                        new_rays.append((w, common | {k}))
+                        if _adjacent(zsets, ip, im):
+                            w = primitive([vals[ip] * x - vals[im] * y
+                                           for x, y in zip(rays[im][0], rays[ip][0])])
+                            new_rays.append((w, zsets[ip] & zsets[im] | {k}))
                 rays = new_rays
             else:
                 rays = [(r, z | {k}) if i in zero else (r, z)
                         for i, (r, z) in enumerate(rays)]
-        processed.append(a)
 
     lines = _canonical_lines(lines, n)
     out = []
@@ -330,6 +333,12 @@ def cone_generators(constraints, n: int):
         out.append(r)
     out.sort()
     return lines, out
+
+
+def _adjacent(zsets, i, j) -> bool:
+    """Combinatorial adjacency: no third zero set contains zsets[i] & zsets[j]."""
+    common = zsets[i] & zsets[j]
+    return not any(common <= z for g, z in enumerate(zsets) if g != i and g != j)
 
 
 def _idot(a, b):
@@ -383,9 +392,6 @@ class Polyhedron:
     @property
     def generators(self) -> GeneratorSet:
         return GeneratorSet(self.points, self.rays)
-
-    def n_generators(self) -> int:
-        return len(self.points) + len(self.rays)
 
     def contains(self, x) -> bool:
         return all(h.contains(x) for h in self.halfspaces)
@@ -502,31 +508,20 @@ def _assemble(pts, rys, d) -> Polyhedron:
     inc_rys = [frozenset(i for i, h in enumerate(halfspaces) if _idot(h.normal, r) == 0)
                for r in rys]
 
-    vertices = []
-    v_inc = []
-    for p, inc in zip(pts, inc_pts):
-        if rank([halfspaces[i].normal for i in inc]) == d:
-            vertices.append(p)
-            v_inc.append(inc)
-    extreme_rays = []
-    r_inc = []
-    for r, inc in zip(rys, inc_rys):
-        if rank([halfspaces[i].normal for i in inc]) == d - 1:
-            extreme_rays.append(r)
-            r_inc.append(inc)
-
-    order_p = sorted(range(len(vertices)), key=lambda i: vertices[i])
-    order_r = sorted(range(len(extreme_rays)), key=lambda i: extreme_rays[i])
-    points = tuple(vertices[i] for i in order_p)
-    rays = tuple(extreme_rays[i] for i in order_r)
-    incidence = tuple([v_inc[i] for i in order_p] + [r_inc[i] for i in order_r])
-
+    # generators are distinct, so sorting (generator, tight set) pairs never
+    # compares the sets
+    verts = sorted((p, z) for p, z in zip(pts, inc_pts)
+                   if rank([halfspaces[i].normal for i in z]) == d)
+    xrays = sorted((r, z) for r, z in zip(rys, inc_rys)
+                   if rank([halfspaces[i].normal for i in z]) == d - 1)
+    points = tuple(p for p, _ in verts)
+    rays = tuple(r for r, _ in xrays)
     poly = Polyhedron(
         ambient_dim=d,
         halfspaces=tuple(halfspaces),
         points=points,
         rays=rays,
-        incidence=incidence,
+        incidence=tuple(z for _, z in verts + xrays),
         dim=affine_rank(points, rays),
     )
     _check_polyhedron(poly, pts, rys)
@@ -561,48 +556,44 @@ class Face:
 def faces(poly: Polyhedron, k: int):
     """All k-dimensional faces, each with its generators and tight halfspaces.
 
-    For k = 1 the bounded flag distinguishes edges from unbounded edges.
     Faces are identified by their generator sets; the whole polyhedron is
-    included when k == poly.dim.
+    included when k == poly.dim. For k = 1 the bounded flag distinguishes
+    edges from unbounded edges, found by the combinatorial adjacency test
+    (Fukuda & Prodon 1996, *Double description method revisited*): generators
+    i < j, at least one a vertex, span an edge iff no other generator is tight
+    on every halfspace tight at both. Other k close the generator tight sets
+    under intersection and take each candidate's affine rank.
     """
     if k > poly.ambient_dim or k < 0:
         raise GeometryError(f"face dimension {k} out of range for ambient {poly.ambient_dim}")
     if poly.is_empty:
         return []
-    active_sets = set(poly.incidence)
-    # close under intersection: every face's tight set is an intersection of
-    # generator tight sets
-    frontier = set(active_sets)
-    while frontier:
-        new = set()
-        for a in frontier:
-            for b in active_sets:
-                c = a & b
-                if c not in active_sets and c not in new:
-                    new.add(c)
-        active_sets |= new
-        frontier = new
+    inc = poly.incidence
     n_pts = len(poly.points)
-    seen_gen_sets = {}
-    for act in active_sets:
-        gens = tuple(i for i, inc in enumerate(poly.incidence) if act <= inc)
-        if not gens:
-            continue
-        if gens in seen_gen_sets:
-            continue
+    out = []
+    if k == 1:
+        for i in range(n_pts):
+            for j in range(i + 1, len(inc)):
+                if _adjacent(inc, i, j):
+                    out.append(Face(generator_indices=(i, j),
+                                    halfspace_indices=tuple(sorted(inc[i] & inc[j])),
+                                    dim=1, bounded=j < n_pts))
+        return out
+    # every face's tight set is an intersection of generator tight sets
+    active_sets = set(inc)
+    frontier = active_sets
+    while frontier:
+        frontier = {a & b for a in frontier for b in inc} - active_sets
+        active_sets |= frontier
+    for gens in {tuple(i for i, z in enumerate(inc) if act <= z) for act in active_sets}:
         gpts = [poly.points[i] for i in gens if i < n_pts]
         grys = [poly.rays[i - n_pts] for i in gens if i >= n_pts]
         if not gpts:
             continue  # a pointed face always has a vertex
-        fdim = affine_rank(gpts, grys)
-        canonical_act = frozenset.intersection(*[poly.incidence[i] for i in gens])
-        seen_gen_sets[gens] = Face(
-            generator_indices=gens,
-            halfspace_indices=tuple(sorted(canonical_act)),
-            dim=fdim,
-            bounded=not grys,
-        )
-    out = [f for f in seen_gen_sets.values() if f.dim == k]
+        if affine_rank(gpts, grys) == k:
+            canonical_act = frozenset.intersection(*[inc[i] for i in gens])
+            out.append(Face(generator_indices=gens, halfspace_indices=tuple(sorted(canonical_act)),
+                            dim=k, bounded=not grys))
     out.sort(key=lambda f: f.generator_indices)
     return out
 
@@ -670,12 +661,12 @@ def lp_solve(halfspaces, objective, sense="max") -> LPResult:
         return LPResult("unbounded", ray=primitive(ray))
     value = dot(objective, point)
     dual = tab.duals()
-    active = frozenset(i for i in range(m) if dot(hs[i].normal, point) == b[i])
+    active = frozenset(i for i in range(m) if hs[i].tight_at(point))
     # certify optimality: dual feasibility, A^T y = c, complementary slackness
     for i in range(m):
         if dual[i] < 0:
             raise GeometryError("lp_solve: negative dual (internal)")
-        if dual[i] != 0 and dot(hs[i].normal, point) != b[i]:
+        if dual[i] != 0 and not hs[i].tight_at(point):
             raise GeometryError("lp_solve: complementary slackness failed (internal)")
     for j in range(d):
         lhs = sum(dual[i] * hs[i].normal[j] for i in range(m))

@@ -225,9 +225,6 @@ class ExtendedMenu:
     def dim(self) -> int:
         return self.poly.ambient_dim
 
-    def menu_size(self) -> int:
-        return len(self.vertices)
-
 
 @dataclass(frozen=True)
 class Scenario:

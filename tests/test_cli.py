@@ -197,6 +197,32 @@ def test_evaluate_with_sample(tmp_path):
     assert rep["evaluation"]["expected_principal_utility"] == "1/4"
 
 
+ROW_MESSAGE = "each sample row must be an object with 'theta' and 'weight'"
+EXPERIMENT = ["experiment", "--preset", "simplex", "--d", "2", "--k", "3"]
+
+
+@pytest.mark.parametrize("command, sample, message", [
+    (["evaluate", "SCENARIO", "--sample", "SAMPLE"], [1, 2], ROW_MESSAGE),
+    (["evaluate", "SCENARIO", "--sample", "SAMPLE"], [{"theta": ["1/2", "-1"]}], ROW_MESSAGE),
+    (["evaluate", "SCENARIO", "--sample", "SAMPLE"], "[{", "invalid JSON in "),
+    (["perturb", "SCENARIO", "--delta", "abc"], None, "malformed rational 'abc'"),
+    (["monopoly", "SCENARIO", "--nudge", "--eps", "1/0", "--delta", "1/4"], None,
+     "malformed rational '1/0'"),
+    (EXPERIMENT + ["--samples", "-5"], None, "genericity_experiment needs samples >= 1"),
+    (EXPERIMENT + ["--samples", "0"], None, "genericity_experiment needs samples >= 1"),
+], ids=["sample-row-not-object", "sample-row-without-weight", "sample-not-json",
+        "delta-not-rational", "eps-not-rational", "samples-negative", "samples-zero"])
+def test_malformed_flag_or_sample_is_one_line_diagnostic(tmp_path, command, sample, message):
+    spath = tmp_path / "sample.json"
+    spath.write_text(sample if isinstance(sample, str) else json.dumps(sample))
+    subs = {"SCENARIO": write_scenario(tmp_path, POSTED), "SAMPLE": str(spath)}
+    r = run_cli([subs.get(a, a) for a in command])
+    assert r.returncode == 1
+    lines = r.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: {message}"), r.stderr
+    assert "Traceback" not in r.stderr
+
+
 def test_plotdata_export(tmp_path):
     path = write_scenario(tmp_path, POSTED)
     out = tmp_path / "plot.tsv"

@@ -3,10 +3,14 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from corpus import CORPUS
+
 from extremenu import geometry as geo
 from extremenu.geometry import (
+    Face,
     GeometryError,
     Hyperplane,
+    affine_rank,
     as_vec,
     dot,
     dual_description,
@@ -18,6 +22,8 @@ from extremenu.geometry import (
     rank,
     solve_affine,
 )
+from extremenu.model import extended_menu, make_type_cone
+from extremenu.presets import monopoly_cone
 
 SQUARE_HS = [
     Hyperplane.make((1, 0), 1),
@@ -272,3 +278,148 @@ def test_hyperplane_zero_normal_rejected():
 def test_float_coordinates_rejected():
     with pytest.raises(GeometryError):
         geo.frac(0.5)
+
+
+# -- integer incidence tests ---------------------------------------------
+
+# plain ints, zeros, negatives, small mixed denominators, and large ones
+COORDS = st.one_of(
+    st.integers(-30, 30),
+    st.just(0),
+    st.builds(F, st.integers(-60, 60), st.sampled_from([1, 2, 3, 5, 8, 12, 49, 1024])),
+    st.fractions(min_value=-20, max_value=20, max_denominator=10**6),
+)
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_integer_incidence_matches_fraction_dot(data):
+    d = data.draw(st.integers(1, 6))
+    normal = data.draw(st.lists(st.integers(-9, 9), min_size=d, max_size=d).filter(any))
+    x = tuple(data.draw(st.lists(COORDS, min_size=d, max_size=d)))
+    prim = Hyperplane.make(normal, 0).normal
+    # an offset on, just inside or just outside the hyperplane through x
+    shift = data.draw(st.sampled_from([0, 0, F(1, 1024), F(-1, 7), 3, -2]))
+    h = Hyperplane.make(prim, dot(prim, x) + shift)
+    assert h.normal == prim and all(type(a) is int for a in prim)
+    for g in (h, h.flipped()):
+        ref = dot(g.normal, x)  # the Fraction reference
+        value = g.value(x)
+        assert type(value) is F and value == ref
+        assert g.contains(x) == (ref <= g.offset)
+        assert g.tight_at(x) == (ref == g.offset)
+
+
+def test_incidence_tests_reject_dimension_mismatch():
+    h = Hyperplane.make((1, 0), 1)
+    for test in (h.value, h.contains, h.tight_at):
+        with pytest.raises(GeometryError, match="dimension mismatch"):
+            test((F(1), F(0), F(0)))
+
+
+# -- edges: adjacency test against the rank definition -------------------
+
+
+def closure_faces(poly, k):
+    """Reference faces: close the generator tight sets under pairwise
+    intersection and rank every candidate face."""
+    sets = set(poly.incidence)
+    frontier = set(sets)
+    while frontier:
+        frontier = {a & b for a in frontier for b in sets} - sets
+        sets |= frontier
+    n = len(poly.points)
+    found = {}
+    for act in sets:
+        gens = tuple(i for i, z in enumerate(poly.incidence) if act <= z)
+        pts = [poly.points[i] for i in gens if i < n]
+        rys = [poly.rays[i - n] for i in gens if i >= n]
+        if pts and affine_rank(pts, rys) == k:
+            common = frozenset.intersection(*[poly.incidence[i] for i in gens])
+            found[gens] = Face(gens, tuple(sorted(common)), k, not rys)
+    return sorted(found.values(), key=lambda f: f.generator_indices)
+
+
+def edges_by_rank_definition(poly):
+    """Generator pairs whose common tight set lies in exactly their two tight
+    sets and whose affine rank is 1, with tight sets from Fraction dot
+    products rather than poly.incidence."""
+    tight = [frozenset(i for i, h in enumerate(poly.halfspaces) if dot(h.normal, p) == h.offset)
+             for p in poly.points]
+    tight += [frozenset(i for i, h in enumerate(poly.halfspaces) if dot(h.normal, r) == 0)
+              for r in poly.rays]
+    assert tuple(tight) == poly.incidence
+    n = len(poly.points)
+    out = []
+    for i in range(len(tight)):
+        for j in range(i + 1, len(tight)):
+            common = tight[i] & tight[j]
+            if [g for g, z in enumerate(tight) if common <= z] != [i, j]:
+                continue
+            pts = [poly.points[g] for g in (i, j) if g < n]
+            rys = [poly.rays[g - n] for g in (i, j) if g >= n]
+            if affine_rank(pts, rys) == 1:
+                out.append(Face((i, j), tuple(sorted(common)), 1, not rys))
+    return out
+
+
+# polar rays of no cone, the monopoly cone, the orthant, and a halfspace of
+# types (one polar ray)
+POLAR_RAYS = {
+    d: [
+        (),
+        monopoly_cone(d - 1).polar_rays,
+        make_type_cone([tuple(int(i == j) for j in range(d)) for i in range(d)]).polar_rays,
+        make_type_cone([tuple(s * int(i == j) for j in range(d))
+                        for i in range(d - 1) for s in (1, -1)]
+                       + [tuple(-int(j == d - 1) for j in range(d))]).polar_rays,
+    ]
+    for d in (2, 3, 4)
+}
+
+
+@st.composite
+def generator_sets(draw):
+    d = draw(st.integers(2, 4))
+    coord = st.builds(F, st.integers(-6, 6), st.sampled_from([1, 2, 4]))
+    vec = st.tuples(*[coord] * d)
+    n = draw(st.integers(1, 10))
+    span = draw(st.sampled_from([d, d, 1, 2]))  # full, collinear or coplanar points
+    if span == d:
+        pts = [draw(vec) for _ in range(n)]
+    else:
+        base = draw(vec)
+        dirs = [draw(vec) for _ in range(span)]
+        pts = []
+        for _ in range(n):
+            ts = [draw(coord) for _ in dirs]
+            pts.append(tuple(b + sum(t * u[c] for t, u in zip(ts, dirs))
+                             for c, b in enumerate(base)))
+    return pts, draw(st.sampled_from(POLAR_RAYS[d] + [()]))  # () twice: many bounded sets
+
+
+@given(generator_sets())
+@settings(max_examples=200, deadline=None)
+def test_edges_match_rank_definition(gens):
+    pts, rays = gens
+    poly = polyhedron_from_generators(pts, rays)
+    edges = faces(poly, 1)
+    assert edges == edges_by_rank_definition(poly)
+    assert edges == closure_faces(poly, 1)
+
+
+def test_lower_dimensional_edges():
+    # a segment in R^3 has one edge; a square in a plane of R^4 has four
+    seg = polyhedron_from_generators([(0, 0, 0), (1, 2, 3), (2, 4, 6)])
+    assert [f.generator_indices for f in faces(seg, 1)] == [(0, 1)]
+    square = polyhedron_from_generators([(0, 0, 0, 0), (1, 0, 1, 0), (0, 1, 0, 1), (1, 1, 1, 1)])
+    assert square.dim == 2
+    assert [f.generator_indices for f in faces(square, 1)] == [(0, 1), (0, 2), (1, 3), (2, 3)]
+    assert faces(square, 1) == edges_by_rank_definition(square)
+
+
+def test_faces_match_closure_on_corpus():
+    for case in CORPUS:
+        for poly in (case.scenario.space.poly, extended_menu(case.scenario).poly):
+            for k in range(poly.ambient_dim + 1):
+                assert faces(poly, k) == closure_faces(poly, k), (case.name, k)
