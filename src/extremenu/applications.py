@@ -481,11 +481,6 @@ def sample_menu(preset: str, d: int, k: int, rng) -> list:
 def force_exhaustive(items, space: AllocationSpace, cone: TypeCone):
     """Touch-point construction: project items onto untouched facets until the
     menu is exhaustive; falls back to pinning one item at a vertex of A."""
-    return _force_exhaustive(items, space, cone)[0]
-
-
-def _force_exhaustive(items, space: AllocationSpace, cone: TypeCone):
-    """force_exhaustive's items and the extended menu that proved them exhaustive."""
     items = [as_vec(p) for p in items]
     movable = set(range(len(items)))
     if space.veto is not None and space.veto in items:
@@ -493,7 +488,7 @@ def _force_exhaustive(items, space: AllocationSpace, cone: TypeCone):
     for _ in range(2 * len(space.facets) + 2):
         em = extend_menu(Menu(items=tuple(dict.fromkeys(items))), cone, space)
         if is_exhaustive(em, space).exhaustive:
-            return items, em
+            return items
         untouched = [f for f in range(len(space.facets)) if f not in em.binding]
         if not untouched or not movable:
             break
@@ -511,28 +506,27 @@ def _force_exhaustive(items, space: AllocationSpace, cone: TypeCone):
     # missing that vertex
     em = extend_menu(Menu(items=tuple(dict.fromkeys(items))), cone, space)
     if is_exhaustive(em, space).exhaustive:
-        return items, em
+        return items
     movable = sorted(set(range(len(items))) - ({items.index(space.veto)} if space.veto in items else set()))
     if len(items) == 1 and movable:
         # a singleton is exhaustive exactly at a vertex of A
-        items = [space.poly.points[0]]
-    else:
-        if len(movable) < 2:
-            raise ScenarioError("cannot force exhaustiveness with so few movable items")
-        vtx = space.poly.points[0]
-        items[movable[0]] = vtx
-        vertex_facets = space.facet_set(vtx)
-        f = next(i for i in range(len(space.facets)) if i not in vertex_facets)
-        h = space.facets[f]
-        n = as_vec(h.normal)
-        base = items[movable[1]]
-        t = (h.offset - dot(n, base)) / dot(n, n)
-        items[movable[1]] = vadd(base, vscale(n, t))
-        items = list(dict.fromkeys(items))
+        return [space.poly.points[0]]
+    if len(movable) < 2:
+        raise ScenarioError("cannot force exhaustiveness with so few movable items")
+    vtx = space.poly.points[0]
+    items[movable[0]] = vtx
+    vertex_facets = space.facet_set(vtx)
+    f = next(i for i in range(len(space.facets)) if i not in vertex_facets)
+    h = space.facets[f]
+    n = as_vec(h.normal)
+    base = items[movable[1]]
+    t = (h.offset - dot(n, base)) / dot(n, n)
+    items[movable[1]] = vadd(base, vscale(n, t))
+    items = list(dict.fromkeys(items))
     em = extend_menu(Menu(items=tuple(items)), cone, space)
     if not is_exhaustive(em, space).exhaustive:
         raise ScenarioError("exhaustiveness forcing failed")
-    return items, em
+    return items
 
 
 def genericity_experiment(preset: str, d: int, k: int, samples: int, seed: int) -> ExperimentSummary:
@@ -549,11 +543,13 @@ def genericity_experiment(preset: str, d: int, k: int, samples: int, seed: int) 
         rng = _instance_rng(seed, i)
         items = sample_menu(preset, d, k, rng)
         try:
-            items, em = _force_exhaustive(items, space, cone)
+            items = force_exhaustive(items, space, cone)
         except ScenarioError:
             continue
-        # the forced items must still form a valid scenario
-        validate_scenario(space, cone, dict.fromkeys(tuple(p) for p in items))
+        sc = validate_scenario(space, cone, dict.fromkeys(tuple(p) for p in items))
+        em = extended_menu(sc)
+        if not is_exhaustive(em, space).exhaustive:
+            continue
         n_exhaustive += 1
         verdict = is_extreme_finite(em, space)
         nullity_total += verdict.nullity

@@ -281,17 +281,24 @@ def cone_generators(constraints, n: int):
             if d0 > 0:
                 l0 = tuple(-x for x in l0)
                 d0 = -d0
-            new_lines = [l if lvals[i] == 0
-                         else primitive([d0 * x - lvals[i] * y for x, y in zip(l, l0)])
-                         for i, l in enumerate(lines) if i != hit]
+            new_lines = []
+            for i, l in enumerate(lines):
+                if i == hit:
+                    continue
+                if lvals[i] == 0:
+                    new_lines.append(l)
+                else:
+                    new_lines.append(primitive([d0 * x - lvals[i] * y for x, y in zip(l, l0)]))
             new_rays = []
             for r, z in rays:
                 rv = _idot(a, r)
-                if rv != 0:
+                if rv == 0:
+                    new_rays.append((r, z | {k}))
+                else:
                     # shift along the line to the hyperplane, keeping the ray's
                     # own coefficient positive (d0 < 0 by orientation)
-                    r = primitive([(-d0) * x + rv * y for x, y in zip(r, l0)])
-                new_rays.append((r, z | {k}))
+                    adj = primitive([(-d0) * x + rv * y for x, y in zip(r, l0)])
+                    new_rays.append((adj, z | {k}))
             new_rays.append((primitive(l0), frozenset(range(k))))
             lines = new_lines
             rays = new_rays
@@ -305,11 +312,13 @@ def cone_generators(constraints, n: int):
                 new_rays += [(rays[i][0], rays[i][1] | {k}) for i in zero]
                 zsets = [z for _, z in rays]
                 for ip in pos:
+                    rp, zp = rays[ip]
                     for im in neg:
-                        if _adjacent(zsets, ip, im):
-                            w = primitive([vals[ip] * x - vals[im] * y
-                                           for x, y in zip(rays[im][0], rays[ip][0])])
-                            new_rays.append((w, zsets[ip] & zsets[im] | {k}))
+                        rm, zm = rays[im]
+                        if not _adjacent(zsets, ip, im):
+                            continue
+                        w = primitive([vals[ip] * x - vals[im] * y for x, y in zip(rm, rp)])
+                        new_rays.append((w, zp & zm | {k}))
                 rays = new_rays
             else:
                 rays = [(r, z | {k}) if i in zero else (r, z)
@@ -508,20 +517,31 @@ def _assemble(pts, rys, d) -> Polyhedron:
     inc_rys = [frozenset(i for i, h in enumerate(halfspaces) if _idot(h.normal, r) == 0)
                for r in rys]
 
-    # generators are distinct, so sorting (generator, tight set) pairs never
-    # compares the sets
-    verts = sorted((p, z) for p, z in zip(pts, inc_pts)
-                   if rank([halfspaces[i].normal for i in z]) == d)
-    xrays = sorted((r, z) for r, z in zip(rys, inc_rys)
-                   if rank([halfspaces[i].normal for i in z]) == d - 1)
-    points = tuple(p for p, _ in verts)
-    rays = tuple(r for r, _ in xrays)
+    vertices = []
+    v_inc = []
+    for p, inc in zip(pts, inc_pts):
+        if rank([halfspaces[i].normal for i in inc]) == d:
+            vertices.append(p)
+            v_inc.append(inc)
+    extreme_rays = []
+    r_inc = []
+    for r, inc in zip(rys, inc_rys):
+        if rank([halfspaces[i].normal for i in inc]) == d - 1:
+            extreme_rays.append(r)
+            r_inc.append(inc)
+
+    order_p = sorted(range(len(vertices)), key=lambda i: vertices[i])
+    order_r = sorted(range(len(extreme_rays)), key=lambda i: extreme_rays[i])
+    points = tuple(vertices[i] for i in order_p)
+    rays = tuple(extreme_rays[i] for i in order_r)
+    incidence = tuple([v_inc[i] for i in order_p] + [r_inc[i] for i in order_r])
+
     poly = Polyhedron(
         ambient_dim=d,
         halfspaces=tuple(halfspaces),
         points=points,
         rays=rays,
-        incidence=tuple(z for _, z in verts + xrays),
+        incidence=incidence,
         dim=affine_rank(points, rays),
     )
     _check_polyhedron(poly, pts, rys)
@@ -568,10 +588,10 @@ def faces(poly: Polyhedron, k: int):
         raise GeometryError(f"face dimension {k} out of range for ambient {poly.ambient_dim}")
     if poly.is_empty:
         return []
-    inc = poly.incidence
     n_pts = len(poly.points)
-    out = []
     if k == 1:
+        inc = poly.incidence
+        out = []
         for i in range(n_pts):
             for j in range(i + 1, len(inc)):
                 if _adjacent(inc, i, j):
@@ -579,21 +599,39 @@ def faces(poly: Polyhedron, k: int):
                                     halfspace_indices=tuple(sorted(inc[i] & inc[j])),
                                     dim=1, bounded=j < n_pts))
         return out
-    # every face's tight set is an intersection of generator tight sets
-    active_sets = set(inc)
-    frontier = active_sets
+    active_sets = set(poly.incidence)
+    # close under intersection: every face's tight set is an intersection of
+    # generator tight sets
+    frontier = set(active_sets)
     while frontier:
-        frontier = {a & b for a in frontier for b in inc} - active_sets
-        active_sets |= frontier
-    for gens in {tuple(i for i, z in enumerate(inc) if act <= z) for act in active_sets}:
+        new = set()
+        for a in frontier:
+            for b in active_sets:
+                c = a & b
+                if c not in active_sets and c not in new:
+                    new.add(c)
+        active_sets |= new
+        frontier = new
+    seen_gen_sets = {}
+    for act in active_sets:
+        gens = tuple(i for i, inc in enumerate(poly.incidence) if act <= inc)
+        if not gens:
+            continue
+        if gens in seen_gen_sets:
+            continue
         gpts = [poly.points[i] for i in gens if i < n_pts]
         grys = [poly.rays[i - n_pts] for i in gens if i >= n_pts]
         if not gpts:
             continue  # a pointed face always has a vertex
-        if affine_rank(gpts, grys) == k:
-            canonical_act = frozenset.intersection(*[inc[i] for i in gens])
-            out.append(Face(generator_indices=gens, halfspace_indices=tuple(sorted(canonical_act)),
-                            dim=k, bounded=not grys))
+        fdim = affine_rank(gpts, grys)
+        canonical_act = frozenset.intersection(*[poly.incidence[i] for i in gens])
+        seen_gen_sets[gens] = Face(
+            generator_indices=gens,
+            halfspace_indices=tuple(sorted(canonical_act)),
+            dim=fdim,
+            bounded=not grys,
+        )
+    out = [f for f in seen_gen_sets.values() if f.dim == k]
     out.sort(key=lambda f: f.generator_indices)
     return out
 
