@@ -16,7 +16,7 @@ from fractions import Fraction
 from . import geometry as geo
 from .exhaustive import is_exhaustive
 from .extremality import extract_decomposition, is_extreme_finite
-from .geometry import Hyperplane, as_vec, dot, frac, is_zero, unit_vec, vadd, vscale, zero_vec
+from .geometry import as_vec, dot, frac, is_zero, unit_vec, vadd, vscale, zero_vec
 from .model import (
     AllocationSpace,
     ConstantObjective,
@@ -206,7 +206,7 @@ def monopoly_pricing_analysis(scenario: Scenario) -> PricingAnalysis:
                     f"marginal price {gi} escaped [0,1] (internal invariant)"
                 )
         vproj = [poly.points[i][:m] for i in range(n_pts) if j in poly.incidence[i]]
-        rproj = [tuple(map(Fraction, poly.rays[i - n_pts][:m]))
+        rproj = [poly.rays[i - n_pts][:m]
                  for i in range(n_pts, n_pts + len(poly.rays))
                  if j in poly.incidence[i]]
         counted = False
@@ -238,71 +238,27 @@ def monopoly_pricing_analysis(scenario: Scenario) -> PricingAnalysis:
 def _covers_forward_segment(vproj, rproj, m, i) -> bool:
     """Whether conv(vproj)+cone(rproj) meets [0,1]^m in a segment along e_i.
 
-    Exact LP: two points x, y of the projected facet inside the box with
-    y = x + t e_i and t maximal; the facet prices good i iff t > 0.
+    Exact standard-form LP over the weights (lam_x, mu_x, lam_y, mu_y) >= 0
+    of two points x, y of the projected facet: both weight vectors' lam sum
+    to 1, x and y lie in the box and agree off coordinate i, and y_i - x_i
+    is maximal; the facet prices good i iff that maximum is positive.
     """
     nv, nr = len(vproj), len(rproj)
     if nv == 0:
         return False
-    n = 2 * (nv + nr)
-
-    def lam_x(k):
-        return k
-
-    def mu_x(k):
-        return nv + k
-
-    def lam_y(k):
-        return nv + nr + k
-
-    def mu_y(k):
-        return nv + nr + nv + k
-
-    hs = []
-
-    def eq(coeffs, rhs):
-        hs.append(Hyperplane.make(coeffs, rhs))
-        hs.append(Hyperplane.make([-c for c in coeffs], -rhs))
-
-    # convex combinations
-    row = [Fraction(0)] * n
-    for k in range(nv):
-        row[lam_x(k)] = Fraction(1)
-    eq(row, 1)
-    row = [Fraction(0)] * n
-    for k in range(nv):
-        row[lam_y(k)] = Fraction(1)
-    eq(row, 1)
-    # x_j = y_j for j != i; box constraints on both points
-    for j in range(m):
-        xrow = [Fraction(0)] * n
-        yrow = [Fraction(0)] * n
-        for k in range(nv):
-            xrow[lam_x(k)] = vproj[k][j]
-            yrow[lam_y(k)] = vproj[k][j]
-        for k in range(nr):
-            xrow[mu_x(k)] = rproj[k][j]
-            yrow[mu_y(k)] = rproj[k][j]
-        if j != i:
-            eq([a - b for a, b in zip(xrow, yrow)], 0)
-        hs.append(Hyperplane.make(xrow, 1))
-        hs.append(Hyperplane.make([-c for c in xrow], 0))
-        hs.append(Hyperplane.make(yrow, 1))
-        hs.append(Hyperplane.make([-c for c in yrow], 0))
-    for k in range(n):
-        e = [Fraction(0)] * n
-        e[k] = Fraction(-1)
-        hs.append(Hyperplane.make(e, 0))
-    objective = [Fraction(0)] * n
-    for k in range(nv):
-        objective[lam_y(k)] += vproj[k][i]
-        objective[lam_x(k)] -= vproj[k][i]
-    for k in range(nr):
-        objective[mu_y(k)] += rproj[k][i]
-        objective[mu_x(k)] -= rproj[k][i]
-    if all(c == 0 for c in objective):
+    zeros = [0] * (nv + nr)
+    ones = [1] * nv + [0] * nr
+    coord = [[v[j] for v in vproj] + [r[j] for r in rproj] for j in range(m)]
+    a_eq = [ones + zeros, zeros + ones]
+    a_eq += [p + [-a for a in p] for j, p in enumerate(coord) if j != i]
+    a_ub = []
+    for p in coord:  # 0 <= x_j <= 1 and 0 <= y_j <= 1
+        for row in (p + zeros, zeros + p):
+            a_ub += [row, [-a for a in row]]
+    objective = [-a for a in coord[i]] + coord[i]
+    if not any(objective):
         return False
-    res = geo.lp_solve(hs, objective, "max")
+    res = geo.lp_solve(objective, a_ub, [1, 0] * (2 * m), a_eq, [1, 1] + [0] * (m - 1))
     return res.status == "optimal" and res.value > 0
 
 

@@ -174,7 +174,7 @@ def _load_json(path: str):
     with open(path, "r", encoding="utf-8") as fh:
         try:
             return json.load(fh)
-        except json.JSONDecodeError as e:
+        except (json.JSONDecodeError, UnicodeDecodeError) as e:
             raise ScenarioError(f"invalid JSON in {path}: {e}") from None
 
 
@@ -501,7 +501,7 @@ def main(argv=None) -> int:
             report = run_command(args.command, scenario, args)
         sys.stdout.write(render_report(report))
         return 0
-    except (ScenarioError, PerturbationError, planar.PlanarError, FileNotFoundError) as e:
+    except (ScenarioError, PerturbationError, planar.PlanarError, OSError) as e:
         sys.stderr.write(f"error: {e}\n")
         return 1
     except GeometryError as e:
@@ -512,6 +512,10 @@ def main(argv=None) -> int:
         return 1
     except AssertionError as e:
         sys.stderr.write(f"internal invariant violation: {e}\n")
+        return 2
+    except Exception as e:  # anything else is a fault in the core, not in the input
+        detail = " ".join(f"{type(e).__name__}: {e}".split())
+        sys.stderr.write(f"internal error: {detail}\n")
         return 2
 
 

@@ -4,10 +4,11 @@ Everything here is exact: coordinates are ``fractions.Fraction`` and
 hyperplane normals are primitive integer vectors. Rank is decided by
 integer elimination, incidence by cross-multiplying an integer numerator and
 denominator of normal . x with the offset, and edges by the combinatorial
-adjacency test on incidence sets; only the LP pivots in Fractions. Floating
-point never appears. The scale target is small (ambient dimension <= 6,
-tens of generators/halfspaces), so the algorithms favour determinism and
-verifiability over asymptotics.
+adjacency test on incidence sets; only the LP pivots in Fractions. The LP
+has one standard form, max c.x s.t. a_ub x <= b_ub, a_eq x = b_eq, x >= 0,
+stated as plain rows. Floating point never appears. The scale target is
+small (ambient dimension <= 6, tens of generators/halfspaces), so the
+algorithms favour determinism and verifiability over asymptotics.
 
 Vectors are tuples of Fractions. A polyhedron carries both descriptions
 (irredundant halfspaces and minimal generators) plus generator/halfspace
@@ -645,74 +646,52 @@ class LPResult:
     status: str  # "optimal" | "infeasible" | "unbounded"
     value: Fraction | None = None
     x: tuple | None = None
-    active: frozenset = frozenset()
-    dual: tuple = ()
-    ray: tuple | None = None
+    dual: tuple = ()  # one multiplier per a_ub row, then per a_eq row
 
 
-def lp_solve(halfspaces, objective, sense="max") -> LPResult:
-    """Exact LP over an intersection of halfspaces.
+def lp_solve(c, a_ub=(), b_ub=(), a_eq=(), b_eq=()) -> LPResult:
+    """Exact LP in standard form: max c.x s.t. a_ub x <= b_ub, a_eq x = b_eq, x >= 0.
 
-    max/min objective . x subject to n_i . x <= c_i; sense "feasibility"
-    solves with a zero objective. The optimum comes with a witness point, the
-    active constraint set, and dual multipliers; complementary slackness and
-    dual feasibility are verified internally before returning.
+    Rows are sequences of ints or Fractions; a zero ``c`` asks for
+    feasibility. The optimum comes with a witness point and dual multipliers
+    y (a_ub rows, then a_eq rows); primal feasibility, y >= 0 on the a_ub
+    rows, reduced costs A^T y - c >= 0, complementary slackness on rows and
+    columns, and strong duality b.y = c.x are verified before returning.
     """
-    if sense not in ("max", "min", "feasibility"):
-        raise GeometryError(f"lp_solve: unknown sense {sense!r}")
-    hs = [h if isinstance(h, Hyperplane) else Hyperplane.make(*h) for h in halfspaces]
-    if not hs:
-        raise GeometryError("lp_solve needs at least one halfspace")
-    d = hs[0].dim
-    for h in hs:
-        if h.dim != d:
-            raise GeometryError("lp_solve: dimension mismatch")
-    objective = as_vec(objective) if sense != "feasibility" else zero_vec(d)
-    if len(objective) != d:
-        raise GeometryError("lp_solve: objective dimension mismatch")
-    if sense == "min":
-        res = lp_solve(hs, tuple(-c for c in objective), "max")
-        if res.status != "optimal":
-            return res
-        return LPResult("optimal", -res.value, res.x, res.active, tuple(-y for y in res.dual))
-
-    m = len(hs)
-    A = [[Fraction(x) for x in h.normal] for h in hs]
-    b = [h.offset for h in hs]
-    c = list(objective)
-
-    # variables: x_j = u_j - v_j with u, v >= 0; columns 0..d-1 are u,
-    # d..2d-1 are v; simplex dictionary over slack rows.
-    ncols = 2 * d
-    rows = [[A[i][j] for j in range(d)] + [-A[i][j] for j in range(d)] for i in range(m)]
-    obj = [c[j] for j in range(d)] + [-c[j] for j in range(d)]
-
-    tab = _Simplex(rows, b, obj)
+    c = as_vec(c)
+    n = len(c)
+    a_ub, a_eq = [as_vec(r) for r in a_ub], [as_vec(r) for r in a_eq]
+    b_ub, b_eq = as_vec(b_ub), as_vec(b_eq)
+    a, b = a_ub + a_eq, b_ub + b_eq
+    m, k = len(a_ub), len(a_eq)
+    if m != len(b_ub) or k != len(b_eq) or any(len(r) != n for r in a):
+        raise GeometryError("lp_solve: dimension mismatch")
+    # the dictionary holds <= rows only: an equality enters as a.x <= b, -a.x <= -b
+    neg_eq = [tuple(-v for v in r) for r in a_eq]
+    tab = _Simplex(a + neg_eq, b + tuple(-v for v in b_eq), c)
     status = tab.solve()
-    if status == "infeasible":
-        return LPResult("infeasible")
-    x = tab.solution()
-    point = tuple(x[j] - x[d + j] for j in range(d))
-    if status == "unbounded":
-        rdir = tab.unbounded_ray()
-        ray = tuple(rdir[j] - rdir[d + j] for j in range(d))
-        return LPResult("unbounded", ray=primitive(ray))
-    value = dot(objective, point)
-    dual = tab.duals()
-    active = frozenset(i for i in range(m) if hs[i].tight_at(point))
-    # certify optimality: dual feasibility, A^T y = c, complementary slackness
-    for i in range(m):
-        if dual[i] < 0:
-            raise GeometryError("lp_solve: negative dual (internal)")
-        if dual[i] != 0 and not hs[i].tight_at(point):
-            raise GeometryError("lp_solve: complementary slackness failed (internal)")
-    for j in range(d):
-        lhs = sum(dual[i] * hs[i].normal[j] for i in range(m))
-        if lhs != objective[j]:
-            raise GeometryError("lp_solve: dual equation failed (internal)")
-    if sum(dual[i] * b[i] for i in range(m)) != value:
+    if status != "optimal":
+        return LPResult(status)
+    x = tuple(tab.solution()[:n])
+    y = tab.duals()
+    dual = tuple(y[:m]) + tuple(y[m + i] - y[m + k + i] for i in range(k))
+    value = dot(c, x)
+    # certify optimality of (x, dual) for the problem as stated
+    slack = [bi - dot(r, x) for r, bi in zip(a, b)]
+    if any(v < 0 for v in x) or any(s < 0 for s in slack[:m]) or any(slack[m:]):
+        raise GeometryError("lp_solve: primal infeasible point (internal)")
+    if any(yi < 0 for yi in dual[:m]):
+        raise GeometryError("lp_solve: negative dual (internal)")
+    reduced = [sum((yi * r[j] for yi, r in zip(dual, a)), -c[j]) for j in range(n)]
+    if any(rj < 0 for rj in reduced):
+        raise GeometryError("lp_solve: negative reduced cost (internal)")
+    if any(yi * si for yi, si in zip(dual, slack)) or any(
+        xj * rj for xj, rj in zip(x, reduced)
+    ):
+        raise GeometryError("lp_solve: complementary slackness failed (internal)")
+    if dot(dual, b) != value:
         raise GeometryError("lp_solve: strong duality failed (internal)")
-    return LPResult("optimal", value, point, active, tuple(dual))
+    return LPResult("optimal", value, x, dual)
 
 
 class _Simplex:
@@ -726,14 +705,13 @@ class _Simplex:
 
     def __init__(self, rows, b, obj):
         self.m = len(rows)
-        self.n = len(rows[0]) if rows else 0
+        self.n = len(obj)
         self.aux = self.n + self.m
         self.nonbasic = list(range(self.n))
         self.basic = [self.n + i for i in range(self.m)]
         self.expr = [[b[i]] + [-rows[i][j] for j in range(self.n)] for i in range(self.m)]
         self._orig_obj = [Fraction(x) for x in obj]
         self.obj = [Fraction(0)] + list(self._orig_obj)
-        self._unbounded_col = None
 
     def solve(self) -> str:
         if any(self.expr[i][0] < 0 for i in range(self.m)):
@@ -810,7 +788,6 @@ class _Simplex:
                         best = ratio
                         leave = i
             if leave is None:
-                self._unbounded_col = enter
                 return "unbounded"
             self._pivot(leave, enter)
 
@@ -857,11 +834,3 @@ class _Simplex:
             if self.n <= var < self.aux:
                 y[var - self.n] = -self.obj[j + 1]
         return y
-
-    def unbounded_ray(self):
-        j = self._unbounded_col
-        vals = [Fraction(0)] * (self.aux + 1)
-        vals[self.nonbasic[j]] = Fraction(1)
-        for i, var in enumerate(self.basic):
-            vals[var] = self.expr[i][j + 1]
-        return vals

@@ -10,7 +10,6 @@ incidences drive every downstream decision.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 import math
 
@@ -20,11 +19,9 @@ from .geometry import (
     Polyhedron,
     as_vec,
     dot,
-    frac,
     is_zero,
     primitive,
     rank,
-    zero_vec,
 )
 
 
@@ -202,12 +199,15 @@ class AbsorbedItem:
     """A menu item payoff-dominated by the rest of the menu.
 
     The certificate expresses the item as a convex combination of surviving
-    vertices plus a nonnegative combination of polar-cone rays.
+    vertices plus a nonnegative combination of polar-cone rays. Vertex
+    indices refer to ``ExtendedMenu.vertices``; ray indices refer to
+    ``ExtendedMenu.poly.rays`` (the extended menu's minimal rays, not
+    ``TypeCone.polar_rays``). Only positive weights are listed.
     """
 
     item: tuple
-    vertex_weights: tuple  # (vertex_index, Fraction) pairs
-    polar_weights: tuple  # (polar_ray_index, Fraction) pairs
+    vertex_weights: tuple  # (index into vertices, Fraction) pairs
+    polar_weights: tuple  # (index into poly.rays, Fraction) pairs
 
 
 @dataclass(frozen=True)
@@ -343,32 +343,15 @@ def extend_menu(menu: Menu, cone: TypeCone, space: AllocationSpace) -> ExtendedM
 
 def _absorption_certificate(item, vertices, polar_rays) -> AbsorbedItem:
     """Solve item = sum lam_i v_i + sum mu_j r_j, lam in simplex, mu >= 0."""
-    d = len(item)
-    nv, nr = len(vertices), len(polar_rays)
-    n = nv + nr
-    halfspaces = []
-    for c in range(d):  # equality rows as opposite halfspace pairs
-        row = [vertices[i][c] for i in range(nv)] + [frac(r[c]) for r in polar_rays]
-        if all(x == 0 for x in row):
-            if item[c] != 0:
-                raise geo.GeometryError(
-                    f"absorbed item {item} off the menu's coordinate span (internal)"
-                )
-            continue
-        halfspaces.append(Hyperplane.make(row, item[c]))
-        halfspaces.append(Hyperplane.make([-x for x in row], -item[c]))
-    ones = [Fraction(1)] * nv + [Fraction(0)] * nr
-    halfspaces.append(Hyperplane.make(ones, 1))
-    halfspaces.append(Hyperplane.make([-x for x in ones], -1))
-    for j in range(n):
-        e = [Fraction(0)] * n
-        e[j] = Fraction(-1)
-        halfspaces.append(Hyperplane.make(e, 0))
-    res = geo.lp_solve(halfspaces, zero_vec(n), "feasibility")
+    nv = len(vertices)
+    gens = list(vertices) + list(polar_rays)
+    a_eq = [[g[c] for g in gens] for c in range(len(item))]
+    a_eq.append([1] * nv + [0] * len(polar_rays))
+    res = geo.lp_solve([0] * len(gens), a_eq=a_eq, b_eq=list(item) + [1])
     if res.status != "optimal":
         raise geo.GeometryError(f"absorbed item {item} has no certificate (internal)")
-    lam = [(i, res.x[i]) for i in range(nv) if res.x[i] != 0]
-    mu = [(j, res.x[nv + j]) for j in range(nr) if res.x[nv + j] != 0]
+    lam = [(i, w) for i, w in enumerate(res.x[:nv]) if w != 0]
+    mu = [(j, w) for j, w in enumerate(res.x[nv:]) if w != 0]
     return AbsorbedItem(item=item, vertex_weights=tuple(lam), polar_weights=tuple(mu))
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 from itertools import product
 
 from . import model
-from .geometry import as_vec, zero_vec
+from .geometry import as_vec, frac, zero_vec
 from .model import AllocationSpace, TypeCone, allocation_space_from_points, make_type_cone
 
 
@@ -41,7 +41,7 @@ def monopoly_space(m: int, kappa=1) -> AllocationSpace:
     """
     if m < 1:
         raise model.ScenarioError("monopoly preset needs m >= 1")
-    kappa = model.frac(kappa)
+    kappa = frac(kappa)
     if kappa <= 0:
         raise model.ScenarioError("monopoly preset needs kappa > 0")
     pts = [as_vec(list(bits) + [t]) for bits in product((0, 1), repeat=m) for t in (0, kappa)]

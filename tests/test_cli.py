@@ -223,6 +223,30 @@ def test_malformed_flag_or_sample_is_one_line_diagnostic(tmp_path, command, samp
     assert "Traceback" not in r.stderr
 
 
+@pytest.mark.parametrize("fault", [ZeroDivisionError("injected\nfault"), KeyError("psi"),
+                                   RuntimeError()], ids=["multiline", "keyerror", "bare"])
+def test_core_fault_is_one_line_internal_error(tmp_path, monkeypatch, capsys, fault):
+    def broken(*args, **kwargs):
+        raise fault
+
+    monkeypatch.setattr(cli, "is_extreme_finite", broken)
+    code = cli.main(["analyze", write_scenario(tmp_path, POSTED)])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("internal error: "), err
+    assert "Traceback" not in err
+
+
+def test_unreadable_scenario_is_input_error(tmp_path, capsys):
+    binary = tmp_path / "binary.json"
+    binary.write_bytes(b"\xff\xfe\x00")
+    for path in (str(tmp_path), str(binary)):
+        assert cli.main(["analyze", path]) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("error: "), err
+
+
 def test_plotdata_export(tmp_path):
     path = write_scenario(tmp_path, POSTED)
     out = tmp_path / "plot.tsv"

@@ -208,57 +208,107 @@ def test_round_trip_with_rays():
 
 
 def test_lp_max_over_square():
-    res = lp_solve(SQUARE_HS, (1, 0), "max")
+    res = lp_solve((1, 0), a_ub=[(1, 0), (0, 1)], b_ub=[1, 1])
     assert res.status == "optimal" and res.value == 1
     assert res.x[0] == 1
 
 
 def test_lp_infeasible_equalities():
-    hs = [
-        Hyperplane.make((1,), 0), Hyperplane.make((-1,), 0),  # x = 0
-        Hyperplane.make((1,), 1), Hyperplane.make((-1,), -1),  # x = 1
-    ]
-    assert lp_solve(hs, (1,), "feasibility").status == "infeasible"
+    # x = 0 and x = 1; a zero objective asks for feasibility
+    assert lp_solve((0,), a_eq=[(1,), (1,)], b_eq=[0, 1]).status == "infeasible"
+    assert lp_solve((1,), a_eq=[(1,), (1,)], b_eq=[0, 1]).status == "infeasible"
 
 
 def test_lp_simplex_facet():
-    hs = [
-        Hyperplane.make((-1, 0), 0),
-        Hyperplane.make((0, -1), 0),
-        Hyperplane.make((1, 1), 1),
-    ]
-    res = lp_solve(hs, (1, 1), "max")
-    assert res.value == 1
+    res = lp_solve((1, 1), a_ub=[(1, 1)], b_ub=[1])
+    assert res.status == "optimal" and res.value == 1
 
 
 def test_lp_unbounded_with_ray():
-    hs = [Hyperplane.make((-1, 0), 0), Hyperplane.make((0, -1), 0)]
-    res = lp_solve(hs, (1, 1), "max")
-    assert res.status == "unbounded"
-    assert dot(as_vec(res.ray), as_vec((1, 1))) > 0
+    # the nonnegative orthant with a rising objective
+    assert lp_solve((1, 1), a_ub=[(-1, 0)], b_ub=[0]).status == "unbounded"
+
+
+def test_lp_without_rows():
+    assert lp_solve((1, 1)).status == "unbounded"
+    res = lp_solve((-1, 0))
+    assert res.status == "optimal" and res.value == 0
+    assert res.x == (0, 0) and res.dual == ()
+    assert lp_solve(()).value == 0
 
 
 @given(st.integers(2, 3), st.randoms(use_true_random=False))
 @settings(max_examples=40, deadline=None)
 def test_lp_strong_duality_on_random_boxes(d, rnd):
-    # random box with a random objective; dual consistency is also checked
-    # internally by lp_solve, this exercises it end to end
-    hs = []
+    # box lo <= x <= hi with lo >= 0 and a random objective; the certificate
+    # is also checked inside lp_solve, this exercises it end to end
+    a_ub, b_ub, lo, hi = [], [], [], []
     for i in range(d):
         e = [0] * d
         e[i] = 1
-        hi = rnd.randrange(1, 5)
-        hs.append(Hyperplane.make(tuple(e), hi))
-        hs.append(Hyperplane.make(tuple(-x for x in e), rnd.randrange(0, 3)))
+        lo.append(rnd.randrange(0, 3))
+        hi.append(lo[-1] + rnd.randrange(1, 5))
+        a_ub += [e, [-x for x in e]]
+        b_ub += [hi[-1], -lo[-1]]
     obj = tuple(F(rnd.randrange(-4, 5)) for _ in range(d))
-    res = lp_solve(hs, obj, "max")
+    res = lp_solve(obj, a_ub, b_ub)
     assert res.status == "optimal"
-    assert sum(res.dual[i] * hs[i].offset for i in range(len(hs))) == res.value
+    assert res.value == sum(c * (h if c > 0 else l) for c, l, h in zip(obj, lo, hi))
+    assert all(y >= 0 for y in res.dual)
+    assert sum(y * b for y, b in zip(res.dual, b_ub)) == res.value
 
 
 def test_lp_dimension_mismatch():
-    with pytest.raises(GeometryError):
-        lp_solve(SQUARE_HS, (1, 0, 0), "max")
+    bad = [
+        dict(c=(1, 0, 0), a_ub=[(1, 0)], b_ub=[1]),  # objective vs rows
+        dict(c=(1, 0), a_ub=[(1, 0), (1,)], b_ub=[1, 1]),  # ragged rows
+        dict(c=(1, 0), a_ub=[(1, 0)], b_ub=[1, 2]),  # b_ub length
+        dict(c=(1, 0), a_eq=[(1, 0)], b_eq=[]),  # b_eq length
+        dict(c=(1, 0), a_eq=[(1, 0, 1)], b_eq=[1]),
+    ]
+    for kwargs in bad:
+        with pytest.raises(GeometryError, match="lp_solve: dimension mismatch"):
+            lp_solve(**kwargs)
+
+
+_small = st.integers(-3, 3)
+
+
+@st.composite
+def _standard_form_lps(draw):
+    n = draw(st.integers(1, 3))
+    row = st.lists(_small, min_size=n, max_size=n)
+    a_ub = draw(st.lists(row, max_size=3))
+    a_eq = draw(st.lists(row, max_size=2))
+    b_ub = draw(st.lists(_small, min_size=len(a_ub), max_size=len(a_ub)))
+    b_eq = draw(st.lists(_small, min_size=len(a_eq), max_size=len(a_eq)))
+    return draw(row), a_ub, b_ub, a_eq, b_eq
+
+
+@given(_standard_form_lps())
+@settings(max_examples=300, deadline=None)
+def test_lp_matches_vertex_enumeration(lp):
+    # oracle: the double-description V-representation of the same rows
+    c, a_ub, b_ub, a_eq, b_eq = lp
+    n = len(c)
+    rows = list(zip(a_ub, b_ub)) + list(zip(a_eq, b_eq))
+    rows += [([-a for a in r], -b) for r, b in zip(a_eq, b_eq)]
+    rows += [([-int(i == j) for i in range(n)], 0) for j in range(n)]
+    res = lp_solve(c, a_ub, b_ub, a_eq, b_eq)
+    if any(not any(r) and b < 0 for r, b in rows):
+        assert res.status == "infeasible"  # 0 <= b < 0
+        return
+    poly = polyhedron_from_halfspaces(
+        [Hyperplane.make(r, b) for r, b in rows if any(r)], ambient_dim=n
+    )
+    if poly.is_empty:
+        assert res.status == "infeasible"
+    elif any(dot(as_vec(r), as_vec(c)) > 0 for r in poly.rays):
+        assert res.status == "unbounded"
+    else:
+        assert res.status == "optimal"
+        assert res.value == max(dot(v, as_vec(c)) for v in poly.points)
+        assert all(x >= 0 for x in res.x) and dot(as_vec(c), res.x) == res.value
 
 
 # -- hyperplane canonical form -------------------------------------------

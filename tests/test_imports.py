@@ -1,0 +1,51 @@
+"""Every module-level import in the package is used by the module itself.
+
+No linter ships with the project, so this is the check for orphaned imports.
+``__init__.py`` (whose imports are re-exports) and ``from __future__`` are
+exempt; names listed in a module's ``__all__`` count as used.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import extremenu
+
+MODULES = sorted(p for p in Path(extremenu.__file__).parent.glob("*.py") if p.name != "__init__.py")
+
+
+def unused_imports(source: str) -> list:
+    tree = ast.parse(source)
+    imported = {}
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            used |= {e.value for e in ast.walk(node.value) if isinstance(e, ast.Constant)}
+    return sorted(f"{name} (line {line})" for name, line in imported.items() if name not in used)
+
+
+def test_checker_flags_an_unused_import():
+    source = (
+        "from __future__ import annotations\n"
+        "import math, os.path\n"
+        "from fractions import Fraction as F\n"
+        "from .geometry import dot, frac\n"
+        "__all__ = ['frac']\n"
+        "x = math.pi + dot((), ())\n"
+    )
+    assert unused_imports(source) == ["F (line 3)", "os (line 2)"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_no_unused_module_imports(path):
+    assert unused_imports(path.read_text(encoding="utf-8")) == []

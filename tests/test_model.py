@@ -5,6 +5,9 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from corpus import CORPUS
+
+from extremenu.applications import sample_menu
 from extremenu.geometry import as_vec
 from extremenu.model import (
     Menu,
@@ -18,7 +21,7 @@ from extremenu.model import (
     unrestricted_cone,
     validate_scenario,
 )
-from extremenu.presets import monopoly_cone, monopoly_space, simplex_space
+from extremenu.presets import monopoly_cone, monopoly_space, simplex_space, space_for_preset
 
 
 def monopoly_scenario(menu):
@@ -100,25 +103,42 @@ def test_simplex_vertex_menu_extension():
     assert em.binding == frozenset(range(3))
 
 
+def _replay_absorption_certificates(em):
+    """Every certificate recombines its item exactly from em's generators."""
+    for cert in em.absorbed:
+        total = [F(0)] * em.dim
+        for idx, w in cert.vertex_weights:
+            assert w > 0
+            total = [a + w * b for a, b in zip(total, em.vertices[idx])]
+        for jdx, w in cert.polar_weights:
+            assert w > 0
+            total = [a + w * b for a, b in zip(total, em.poly.rays[jdx])]
+        assert sum(w for _, w in cert.vertex_weights) == 1
+        assert tuple(total) == cert.item
+
+
 def test_monopoly_absorbed_item_certificate():
     sc = monopoly_scenario([(0, 0), (F(1, 2), F(1, 8)), (1, F(1, 2)),
                             (F(1, 4), F(1, 2))])
     em = extended_menu(sc)
     assert len(em.vertices) == 3
     assert len(em.absorbed) == 1
-    cert = em.absorbed[0]
-    assert cert.item == (F(1, 4), F(1, 2))
-    # replay the dominating combination exactly
-    total = [F(0), F(0)]
-    wsum = F(0)
-    for idx, w in cert.vertex_weights:
-        wsum += w
-        total = [a + w * b for a, b in zip(total, em.vertices[idx])]
-    for jdx, w in cert.polar_weights:
-        ray = sc.cone.polar_rays[jdx]
-        total = [a + w * b for a, b in zip(total, ray)]
-    assert wsum == 1
-    assert tuple(total) == cert.item
+    assert em.absorbed[0].item == (F(1, 4), F(1, 2))
+    _replay_absorption_certificates(em)
+    # the same replay over the corpus and seeded menus of every preset
+    scenarios = [case.scenario for case in CORPUS]
+    for preset in ("simplex", "cube", "monopoly"):
+        for seed in range(4):
+            d = 2 + seed % 3
+            space, cone = space_for_preset(preset, d=d)
+            rng = random.Random(1000 * d + seed)
+            scenarios.append(validate_scenario(space, cone, sample_menu(preset, d, 7, rng)))
+    absorbed = 0
+    for sc in scenarios:
+        em = extended_menu(sc)
+        _replay_absorption_certificates(em)
+        absorbed += len(em.absorbed)
+    assert absorbed >= 20
 
 
 def test_singleton_menu_extension():
