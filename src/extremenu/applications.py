@@ -203,7 +203,7 @@ def monopoly_pricing_analysis(scenario: Scenario) -> PricingAnalysis:
         for gi in g:
             if gi < 0 or gi > 1:
                 raise geo.GeometryError(
-                    f"marginal price {gi} escaped [0,1] (internal invariant)"
+                    f"marginal price {gi} escaped [0,1] (internal)"
                 )
         vproj = [poly.points[i][:m] for i in range(n_pts) if j in poly.incidence[i]]
         rproj = [poly.rays[i - n_pts][:m]

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import geometry as geo
-from .geometry import Fraction, as_vec, dot, nullspace_basis, rank, solve_affine
+from .geometry import Fraction, as_vec, nullspace_basis, rank, solve_affine
 from .model import AllocationSpace, ExtendedMenu
 
 
@@ -67,7 +67,7 @@ def _translation_witness(normals, d):
 def _check_translation(t, em, space):
     """Both ext M + eps t and ext M - eps t must stay in A for small eps > 0."""
     for i in em.binding:
-        if dot(as_vec(space.facets[i].normal), t) != 0:
+        if space.facets[i].value(t) != 0:
             raise geo.GeometryError("translation witness not orthogonal to binding facet")
     eps = _feasible_step(t, em, space)
     if eps <= 0:
@@ -79,7 +79,7 @@ def _feasible_step(t, em, space) -> Fraction:
     eps = Fraction(1)
     for v in em.vertices:
         for h in space.facets:
-            drift = dot(as_vec(h.normal), t)
+            drift = h.value(t)
             if drift == 0:
                 continue
             slack = h.offset - h.value(v)
@@ -180,7 +180,7 @@ def homothety_cross_check(em: ExtendedMenu, space: AllocationSpace) -> bool:
         raise geo.GeometryError("homothety_cross_check needs a non-singleton menu")
     active = []
     for i, h in enumerate(space.facets):
-        support = max(dot(as_vec(h.normal), v) for v in em.vertices)
+        support = max(h.value(v) for v in em.vertices)
         if support > h.offset:
             raise geo.GeometryError("menu escapes the allocation space (internal)")
         if support == h.offset:

@@ -3,12 +3,14 @@
 Everything here is exact: coordinates are ``fractions.Fraction`` and
 hyperplane normals are primitive integer vectors. Rank is decided by
 integer elimination, incidence by cross-multiplying an integer numerator and
-denominator of normal . x with the offset, and edges by the combinatorial
-adjacency test on incidence sets; only the LP pivots in Fractions. The LP
-has one standard form, max c.x s.t. a_ub x <= b_ub, a_eq x = b_eq, x >= 0,
-stated as plain rows. Floating point never appears. The scale target is
-small (ambient dimension <= 6, tens of generators/halfspaces), so the
-algorithms favour determinism and verifiability over asymptotics.
+denominator of normal . x with the offset, edges by the combinatorial
+adjacency test on incidence sets, and a point's decomposition into
+generators by Carathéodory ray shooting on the face lattice. The one LP, in
+standard form max c.x s.t. a_ub x <= b_ub, a_eq x = b_eq, x >= 0 stated as
+plain rows, serves only the monopoly forward-segment test. Floating point
+never appears. The scale target is small (ambient dimension <= 6, tens of
+generators/halfspaces), so the algorithms favour determinism and
+verifiability over asymptotics.
 
 Vectors are tuples of Fractions. A polyhedron carries both descriptions
 (irredundant halfspaces and minimal generators) plus generator/halfspace
@@ -414,6 +416,64 @@ class Polyhedron:
             return False
         tight = [self.halfspaces[i].normal for i in self.tight_set(x)]
         return rank(tight) == self.ambient_dim
+
+
+def caratheodory_decomposition(poly: Polyhedron, x):
+    """Write x in poly as vertices' convex combination plus rays' cone combination.
+
+    Carathéodory by ray shooting on the face lattice: the vertex v0 of x's
+    minimal face (lowest index whose incidence holds x's tight set) gives the
+    direction u = x - v0; the ratio test over the halfspaces with n.u > 0 hits
+    y = x + t u on a proper face, x = (y + t v0) / (1 + t), and the walk goes
+    on from y. If nothing bounds the ray, u is a recession direction of the
+    face and is peeled into extreme rays, each time subtracting the largest
+    multiple of a ray of u's minimal face of the recession cone. Every step
+    drops a face dimension, so at most poly.dim + 1 generators get weight.
+    Returns (vertex_weights, ray_weights) as sorted (index, positive Fraction)
+    pairs, indices into poly.points and poly.rays, after an exact replay.
+    """
+    x = as_vec(x)
+    hs = poly.halfspaces
+    if not poly.contains(x):
+        raise GeometryError(f"point {tuple(map(str, x))} lies outside the polyhedron")
+    n_pts = len(poly.points)
+    lam, mu = {}, {}
+    scale = Fraction(1)  # x = (vertex weights so far) + scale * cur
+    cur = x
+    while True:
+        tight = poly.tight_set(cur)
+        k = next(i for i in range(n_pts) if tight <= poly.incidence[i])
+        u = vsub(cur, poly.points[k])
+        steps = [(h.offset - h.value(cur)) / du for h in hs if (du := h.value(u)) > 0]
+        if not steps:
+            break
+        t = min(steps)
+        lam[k] = lam.get(k, 0) + scale * t / (1 + t)
+        scale /= 1 + t
+        cur = vadd(cur, vscale(u, t))
+    lam[k] = lam.get(k, 0) + scale
+    while not is_zero(u):
+        vals = [h.value(u) for h in hs]
+        zero = frozenset(i for i, v in enumerate(vals) if v == 0)
+        j = next(j for j, r in enumerate(poly.rays) if zero <= poly.incidence[n_pts + j])
+        r = poly.rays[j]
+        s = min(v / nr for v, h in zip(vals, hs) if (nr := _idot(h.normal, r)) < 0)
+        mu[j] = scale * s
+        u = vsub(u, vscale(r, s))
+    vertex_weights, ray_weights = tuple(sorted(lam.items())), tuple(sorted(mu.items()))
+    _replay_decomposition(poly, x, vertex_weights, ray_weights)
+    return vertex_weights, ray_weights
+
+
+def _replay_decomposition(poly: Polyhedron, x, vertex_weights, ray_weights):
+    """Exact check of a Carathéodory certificate; any mismatch is internal."""
+    weights = [w for _, w in vertex_weights] + [w for _, w in ray_weights]
+    gens = [poly.points[i] for i, _ in vertex_weights] + [poly.rays[j] for j, _ in ray_weights]
+    total = tuple(sum((w * g[c] for w, g in zip(weights, gens)), Fraction(0))
+                  for c in range(len(x)))
+    if (any(w <= 0 for w in weights) or len(weights) > poly.dim + 1
+            or sum(w for _, w in vertex_weights) != 1 or total != tuple(x)):
+        raise GeometryError(f"decomposition of {tuple(map(str, x))} fails its replay (internal)")
 
 
 def polyhedron_from_generators(points, rays=()) -> Polyhedron:

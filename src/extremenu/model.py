@@ -203,6 +203,13 @@ class AbsorbedItem:
     indices refer to ``ExtendedMenu.vertices``; ray indices refer to
     ``ExtendedMenu.poly.rays`` (the extended menu's minimal rays, not
     ``TypeCone.polar_rays``). Only positive weights are listed.
+
+    The weights come from Carathéodory's theorem carried out on M's face
+    lattice (``geometry.caratheodory_decomposition``): from the vertex of the
+    item's minimal face, shoot through the item to a proper face and recurse;
+    a direction no facet bounds is peeled into extreme rays of its minimal
+    recession face. Each step drops a face dimension, so at most dim M + 1
+    generators carry weight, and the certificate is replayed exactly.
     """
 
     item: tuple
@@ -320,7 +327,8 @@ def extend_menu(menu: Menu, cone: TypeCone, space: AllocationSpace) -> ExtendedM
     absorbed = []
     for item in menu.items:
         if item not in vertex_index:
-            absorbed.append(_absorption_certificate(item, vertices, poly.rays))
+            lam, mu = geo.caratheodory_decomposition(poly, item)
+            absorbed.append(AbsorbedItem(item=item, vertex_weights=lam, polar_weights=mu))
     edges = []
     for f in geo.faces(poly, 1):
         if f.bounded:
@@ -339,20 +347,6 @@ def extend_menu(menu: Menu, cone: TypeCone, space: AllocationSpace) -> ExtendedM
         binding=binding,
         absorbed=tuple(absorbed),
     )
-
-
-def _absorption_certificate(item, vertices, polar_rays) -> AbsorbedItem:
-    """Solve item = sum lam_i v_i + sum mu_j r_j, lam in simplex, mu >= 0."""
-    nv = len(vertices)
-    gens = list(vertices) + list(polar_rays)
-    a_eq = [[g[c] for g in gens] for c in range(len(item))]
-    a_eq.append([1] * nv + [0] * len(polar_rays))
-    res = geo.lp_solve([0] * len(gens), a_eq=a_eq, b_eq=list(item) + [1])
-    if res.status != "optimal":
-        raise geo.GeometryError(f"absorbed item {item} has no certificate (internal)")
-    lam = [(i, w) for i, w in enumerate(res.x[:nv]) if w != 0]
-    mu = [(j, w) for j, w in enumerate(res.x[nv:]) if w != 0]
-    return AbsorbedItem(item=item, vertex_weights=tuple(lam), polar_weights=tuple(mu))
 
 
 @lru_cache(maxsize=4096)

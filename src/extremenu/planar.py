@@ -203,7 +203,7 @@ def find_flexible_chain(partition: BoundaryPartition, em: ExtendedMenu, space: A
     if partition.sentinels:
         elements = [SENTINEL] + order + [SENTINEL]
         if n == 0:
-            raise geo.GeometryError("two-sentinel chain on an empty menu (impossible)")
+            raise geo.GeometryError("two-sentinel chain on an empty menu (internal)")
         m = len(elements)
         for length in range(2, m + 1):
             for start in range(0, m - length + 1):
@@ -252,12 +252,12 @@ def _endpoint_chain(seq, ok_end, not_corner, em, space):
             return None
     for e in seq[1:-1]:
         if e == SENTINEL:
-            raise geo.GeometryError("sentinel in chain interior (impossible)")
+            raise geo.GeometryError("sentinel in chain interior (internal)")
         if e not in not_corner:
             return None
     if len(seq) == 2:
         if first == SENTINEL and last == SENTINEL:
-            raise geo.GeometryError("two-sentinel chain (impossible for nonempty menus)")
+            raise geo.GeometryError("two-sentinel chain on a nonempty menu (internal)")
         if first != SENTINEL and last != SENTINEL:
             # the connecting edge must not run inside the boundary of A
             if em.facet_incidence[first] & em.facet_incidence[last]:

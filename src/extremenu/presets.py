@@ -7,6 +7,7 @@ description directly).
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import product
 
 from . import model
@@ -54,8 +55,12 @@ def monopoly_cone(m: int) -> TypeCone:
     return make_type_cone(rays)
 
 
+@lru_cache(maxsize=64, typed=True)
 def space_for_preset(name: str, d: int | None = None, m: int | None = None, kappa=1):
-    """(space, cone) pair for a named preset; d is the ambient dimension."""
+    """(space, cone) pair for a named preset; d is the ambient dimension.
+
+    Cached: both members are frozen, so repeated calls share one pair.
+    """
     if name == "simplex":
         return simplex_space(d), model.unrestricted_cone(d)
     if name == "cube":

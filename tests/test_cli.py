@@ -1,4 +1,6 @@
+import ast
 import json
+import pathlib
 import re
 import subprocess
 import sys
@@ -236,6 +238,32 @@ def test_core_fault_is_one_line_internal_error(tmp_path, monkeypatch, capsys, fa
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("internal error: "), err
     assert "Traceback" not in err
+
+
+def _geometry_error_messages():
+    """(file:line, literal text) of every GeometryError(...) raised in src/."""
+    src = pathlib.Path(cli.__file__).parent
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Raise) or not isinstance(node.exc, ast.Call):
+                continue
+            func = node.exc.func
+            if getattr(func, "id", getattr(func, "attr", None)) != "GeometryError":
+                continue
+            parts = [n.value for arg in node.exc.args for n in ast.walk(arg)
+                     if isinstance(n, ast.Constant) and isinstance(n.value, str)]
+            yield f"{path.name}:{node.lineno}", "".join(parts)
+
+
+def test_invariant_messages_carry_internal_marker():
+    # cli.main sends a GeometryError to exit 2 only when its text holds
+    # "(internal)"; a message naming an invariant without that exact marker
+    # would exit 1 like an input error
+    sites = list(_geometry_error_messages())
+    assert len(sites) > 20
+    unmarked = [site for site, text in sites
+                if re.search(r"internal|impossible", text) and "(internal)" not in text]
+    assert unmarked == []
 
 
 def test_unreadable_scenario_is_input_error(tmp_path, capsys):

@@ -12,6 +12,7 @@ from extremenu.geometry import (
     Hyperplane,
     affine_rank,
     as_vec,
+    caratheodory_decomposition,
     dot,
     dual_description,
     faces,
@@ -202,6 +203,96 @@ def test_round_trip_with_rays():
     )
     back = polyhedron_from_halfspaces(poly.halfspaces)
     assert back.points == poly.points and back.rays == poly.rays
+
+
+# -- Carathéodory decomposition -------------------------------------------
+
+
+def _recombine(poly, vertex_weights, ray_weights):
+    total = [F(0)] * poly.ambient_dim
+    for i, w in vertex_weights:
+        total = [a + w * b for a, b in zip(total, poly.points[i])]
+    for j, w in ray_weights:
+        total = [a + w * b for a, b in zip(total, poly.rays[j])]
+    return tuple(total)
+
+
+def test_decomposition_of_square_points():
+    square = polyhedron_from_halfspaces(SQUARE_HS)
+    assert caratheodory_decomposition(square, (1, 1)) == (((3, 1),), ())
+    # an edge point needs its two endpoints, an interior point three vertices
+    assert caratheodory_decomposition(square, (1, F(1, 4))) == (((2, F(3, 4)), (3, F(1, 4))), ())
+    lam, mu = caratheodory_decomposition(square, (F(1, 3), F(1, 2)))
+    assert len(lam) == 3 and mu == ()
+    assert _recombine(square, lam, mu) == (F(1, 3), F(1, 2))
+
+
+def test_decomposition_peels_recession_rays():
+    poly = polyhedron_from_generators([(0, 0), (1, 0)], [(0, 1), (1, 1)])
+    lam, mu = caratheodory_decomposition(poly, (F(1, 2), 5))
+    assert sum(w for _, w in lam) == 1 and mu
+    assert len(lam) + len(mu) <= 3
+    assert _recombine(poly, lam, mu) == (F(1, 2), 5)
+    # no facet is tight at (3, 5): the walk starts at the origin, and u = (3, 5)
+    # peels 2 of (0, 1) (bounded by x - y <= 1), then 3 of (1, 1)
+    assert caratheodory_decomposition(poly, (3, 5)) == (((0, 1),), ((0, 2), (1, 3)))
+
+
+def test_decomposition_in_lower_dimensional_polyhedron():
+    # a triangle in the plane x3 = 1 of R^3: the affine hull pair is tight
+    # everywhere, so the walk needs no special case
+    tri = polyhedron_from_generators([(0, 0, 1), (2, 0, 1), (0, 2, 1)])
+    assert tri.dim == 2
+    x = (F(1, 2), F(1, 3), 1)
+    lam, mu = caratheodory_decomposition(tri, x)
+    assert len(lam) == 3 and mu == ()
+    assert _recombine(tri, lam, mu) == x
+
+
+def test_decomposition_rejects_outside_point():
+    square = polyhedron_from_halfspaces(SQUARE_HS)
+    with pytest.raises(GeometryError, match="outside the polyhedron") as err:
+        caratheodory_decomposition(square, (2, 0))
+    assert "(internal)" not in str(err.value)
+
+
+@pytest.mark.parametrize("x, vertex_weights", [
+    ((1, F(1, 4)), ((2, F(1, 4)), (3, F(3, 4)))),  # weights swapped: wrong point
+    ((1, F(1, 4)), ((0, F(0)), (2, F(3, 4)), (3, F(1, 4)))),  # a zero weight listed
+    ((1, F(1, 4)), ((0, F(3, 4)), (1, F(-3, 4)), (3, F(1)))),  # a negative weight
+    ((1, F(1, 4)), ((0, F(1, 2)), (2, F(3, 4)), (3, F(1, 4)))),  # weights sum to 3/2
+    ((F(1, 2), F(1, 2)), tuple((i, F(1, 4)) for i in range(4))),  # four > dim + 1
+], ids=["swapped", "zero", "negative", "sum", "too-many"])
+def test_tampered_decomposition_fails_replay(x, vertex_weights):
+    # every tampered certificate but the first recombines x exactly, so each
+    # isolates one check of the replay
+    square = polyhedron_from_halfspaces(SQUARE_HS)
+    geo._replay_decomposition(square, (1, F(1, 4)), ((2, F(3, 4)), (3, F(1, 4))), ())
+    with pytest.raises(GeometryError, match=r"fails its replay \(internal\)"):
+        geo._replay_decomposition(square, x, vertex_weights, ())
+
+
+@given(
+    st.integers(2, 4),
+    st.integers(1, 8),
+    st.integers(0, 3),
+    st.randoms(use_true_random=False),
+)
+@settings(max_examples=40, deadline=None)
+def test_decomposition_of_random_combinations(d, npts, nrays, rnd):
+    pts = [tuple(F(rnd.randrange(-4, 5), rnd.choice([1, 2, 3])) for _ in range(d))
+           for _ in range(npts)]
+    # rays inside the open positive orthant keep the polyhedron pointed
+    rays = [tuple(rnd.randrange(0, 3) for _ in range(d - 1)) + (1,) for _ in range(nrays)]
+    poly = polyhedron_from_generators(pts, rays)
+    weights = [F(rnd.randrange(0, 4)) for _ in pts]
+    weights = [w / sum(weights) for w in weights] if any(weights) else [F(1, len(pts))] * len(pts)
+    x = tuple(sum(w * p[c] for w, p in zip(weights, pts)) + sum(
+        F(k, 2) * r[c] for k, r in enumerate(rays)) for c in range(d))
+    lam, mu = caratheodory_decomposition(poly, x)
+    assert len(lam) + len(mu) <= poly.dim + 1
+    assert all(w > 0 for _, w in lam + mu) and sum(w for _, w in lam) == 1
+    assert _recombine(poly, lam, mu) == x
 
 
 # -- LP -------------------------------------------------------------------

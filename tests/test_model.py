@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from corpus import CORPUS
 
+from extremenu import geometry as geo
 from extremenu.applications import sample_menu
 from extremenu.geometry import as_vec
 from extremenu.model import (
@@ -139,6 +140,95 @@ def test_monopoly_absorbed_item_certificate():
         _replay_absorption_certificates(em)
         absorbed += len(em.absorbed)
     assert absorbed >= 20
+
+
+def _sampled_scenarios():
+    scenarios = [case.scenario for case in CORPUS]
+    for preset in ("simplex", "cube", "monopoly"):
+        for d in (2, 3, 4):
+            space, cone = space_for_preset(preset, d=d)
+            for seed in range(6):
+                rng = random.Random(7 * d + 100 * seed)
+                scenarios.append(validate_scenario(space, cone,
+                                                   sample_menu(preset, d, 3 + seed, rng)))
+    return scenarios
+
+
+def test_absorption_weights_at_most_dim_plus_one_generators():
+    certificates = rays = 0
+    for sc in _sampled_scenarios():
+        em = extended_menu(sc)
+        _replay_absorption_certificates(em)
+        for cert in em.absorbed:
+            assert len(cert.vertex_weights) + len(cert.polar_weights) <= em.poly.dim + 1
+            certificates += 1
+            rays += bool(cert.polar_weights)
+    assert certificates >= 40 and rays >= 10
+
+
+def test_absorption_in_lower_dimensional_extension():
+    # collinear items: M is a segment carrying its affine hull as a
+    # halfspace pair, and the middle item splits evenly between its ends
+    sc = validate_scenario(simplex_space(2), unrestricted_cone(2),
+                           [(0, 0), (F(1, 4), F(1, 4)), (F(1, 2), F(1, 2))])
+    em = extended_menu(sc)
+    assert em.poly.dim == 1
+    pairs = [h for h in em.poly.halfspaces
+             if any(h.same_hyperplane(g) and h != g for g in em.poly.halfspaces)]
+    assert len(pairs) == 2
+    assert em.vertices == ((0, 0), (F(1, 2), F(1, 2)))
+    (cert,) = em.absorbed
+    assert cert.vertex_weights == ((0, F(1, 2)), (1, F(1, 2)))
+    assert cert.polar_weights == ()
+
+
+def test_absorption_through_polar_rays():
+    # the monopoly item (1/4, 1/2) is the veto plus a positive combination of
+    # both polar rays (-1, 0) and (1, 1): the ray-peeling branch
+    sc = monopoly_scenario([(0, 0), (F(1, 2), F(1, 8)), (1, F(1, 2)), (F(1, 4), F(1, 2))])
+    em = extended_menu(sc)
+    (cert,) = em.absorbed
+    assert em.poly.rays == ((-1, 0), (1, 1))
+    assert cert.vertex_weights == ((0, 1),)
+    assert cert.polar_weights == ((0, F(1, 4)), (1, F(1, 2)))
+    _replay_absorption_certificates(em)
+
+
+def test_absorption_certificates_repeat_exactly():
+    for sc in _sampled_scenarios():
+        first = extend_menu(sc.menu, sc.cone, sc.space)
+        again = extend_menu(sc.menu, sc.cone, sc.space)
+        assert first.absorbed == again.absorbed
+
+
+def test_extend_menu_solves_no_lp(monkeypatch):
+    def no_lp(*args, **kwargs):
+        raise AssertionError("extend_menu reached lp_solve")
+
+    monkeypatch.setattr(geo, "lp_solve", no_lp)
+    absorbed = 0
+    for case in CORPUS:
+        sc = case.scenario
+        absorbed += len(extend_menu(sc.menu, sc.cone, sc.space).absorbed)
+    assert absorbed >= 3
+
+
+def test_preset_spaces_are_cached():
+    for preset in ("simplex", "cube", "monopoly"):
+        pair = space_for_preset(preset, d=3)
+        assert space_for_preset(preset, d=3) is pair
+        assert pair == space_for_preset.__wrapped__(preset, d=3)
+    assert space_for_preset("monopoly", m=1, kappa=2) is space_for_preset("monopoly", m=1, kappa=2)
+
+
+def test_cached_preset_spaces_give_unchanged_scenarios():
+    for preset in ("simplex", "cube", "monopoly"):
+        for d in (2, 3):
+            items = sample_menu(preset, d, 5, random.Random(d))
+            cached = validate_scenario(*space_for_preset(preset, d=d), items)
+            fresh = validate_scenario(*space_for_preset.__wrapped__(preset, d=d), items)
+            assert cached == fresh
+            assert extended_menu(cached) == extend_menu(fresh.menu, fresh.cone, fresh.space)
 
 
 def test_singleton_menu_extension():
