@@ -68,7 +68,7 @@ def _check_translation(t, em, space):
     """Both ext M + eps t and ext M - eps t must stay in A for small eps > 0."""
     for i in em.binding:
         if space.facets[i].value(t) != 0:
-            raise geo.GeometryError("translation witness not orthogonal to binding facet")
+            raise geo.GeometryError("translation witness not orthogonal to binding facet (internal)")
     eps = _feasible_step(t, em, space)
     if eps <= 0:
         raise geo.GeometryError("translation witness admits no feasible step (internal)")

@@ -431,11 +431,13 @@ def caratheodory_decomposition(poly: Polyhedron, x):
     drops a face dimension, so at most poly.dim + 1 generators get weight.
     Returns (vertex_weights, ray_weights) as sorted (index, positive Fraction)
     pairs, indices into poly.points and poly.rays, after an exact replay.
+    Callers pass points of poly (menu items of the extended menu), so a
+    point outside it is an internal fault.
     """
     x = as_vec(x)
     hs = poly.halfspaces
     if not poly.contains(x):
-        raise GeometryError(f"point {tuple(map(str, x))} lies outside the polyhedron")
+        raise GeometryError(f"point {tuple(map(str, x))} lies outside the polyhedron (internal)")
     n_pts = len(poly.points)
     lam, mu = {}, {}
     scale = Fraction(1)  # x = (vertex weights so far) + scale * cur
@@ -560,7 +562,7 @@ def _assemble(pts, rys, d) -> Polyhedron:
     for line in lines:
         n = line[1:]
         if all(x == 0 for x in n):
-            raise GeometryError("unexpected trivial equality in dual description")
+            raise GeometryError("unexpected trivial equality in dual description (internal)")
         c = Fraction(-line[0])
         halfspaces.append(Hyperplane.make(n, c))
         halfspaces.append(Hyperplane.make([-x for x in n], -c))
@@ -614,10 +616,10 @@ def _check_polyhedron(poly, original_pts, original_rys):
     for h in poly.halfspaces:
         for p in original_pts:
             if not h.contains(p):
-                raise GeometryError(f"generator {p} violates halfspace {h}")
+                raise GeometryError(f"generator {p} violates halfspace {h} (internal)")
         for r in original_rys:
             if _idot(h.normal, r) > 0:
-                raise GeometryError(f"ray {r} violates halfspace {h}")
+                raise GeometryError(f"ray {r} violates halfspace {h} (internal)")
     if not poly.points:
         raise GeometryError("pointed polyhedron lost all vertices (internal)")
 

@@ -240,6 +240,22 @@ def test_core_fault_is_one_line_internal_error(tmp_path, monkeypatch, capsys, fa
     assert "Traceback" not in err
 
 
+def test_decomposition_outside_point_exits_internal(tmp_path, monkeypatch, capsys):
+    # extend_menu only decomposes menu items, which lie in M; a point outside
+    # M can only come from a fault, so analyze must exit 2, not 1
+    from extremenu import geometry, model
+
+    decompose = geometry.caratheodory_decomposition
+    monkeypatch.setattr(geometry, "caratheodory_decomposition",
+                        lambda poly, x: decompose(poly, (x[0] + 10, x[1] - 10)))
+    model.extended_menu.cache_clear()
+    absorbing = dict(POSTED, menu=[["0", "0"], ["1/2", "1/8"], ["1", "1/2"], ["1/4", "1/2"]])
+    code = cli.main(["analyze", write_scenario(tmp_path, absorbing)])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err.startswith("internal invariant violation: ") and "outside the polyhedron" in err
+
+
 def _geometry_error_messages():
     """(file:line, literal text) of every GeometryError(...) raised in src/."""
     src = pathlib.Path(cli.__file__).parent
