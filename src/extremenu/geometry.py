@@ -3,9 +3,12 @@
 Everything here is exact: coordinates are ``fractions.Fraction`` and
 hyperplane normals are primitive integer vectors. Rank is decided by
 integer elimination, incidence by cross-multiplying an integer numerator and
-denominator of normal . x with the offset, edges by the combinatorial
-adjacency test on incidence sets, and a point's decomposition into
-generators by Carathéodory ray shooting on the face lattice. The one LP, in
+denominator of normal . x with the offset. V -> H takes no rank and no
+incidence test: the double description's zero sets give each generator's
+tight halfspaces, and minimal generators are those whose tight set no other
+generator's contains. Edges come from the combinatorial adjacency test on
+incidence sets, and a point's decomposition into generators from
+Carathéodory ray shooting on the face lattice. The one LP, in
 standard form max c.x s.t. a_ub x <= b_ub, a_eq x = b_eq, x >= 0 stated as
 plain rows, serves only the monopoly forward-segment test. Floating point
 never appears. The scale target is small (ambient dimension <= 6, tens of
@@ -21,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .kernels import nullspace, rref_sparse
 
@@ -92,14 +95,10 @@ def primitive(u) -> tuple:
     if all(type(a) is int for a in u):
         ints = list(u)
     else:
-        denoms = 1
-        for a in u:
-            a = frac(a)
-            denoms = denoms * a.denominator // gcd(denoms, a.denominator)
-        ints = [int(a * denoms) for a in map(frac, u)]
-    g = 0
-    for v in ints:
-        g = gcd(g, v)
+        u = [frac(a) for a in u]
+        den = lcm(*(a.denominator for a in u))
+        ints = [a.numerator * (den // a.denominator) for a in u]
+    g = gcd(*ints)
     if g > 1:
         ints = [v // g for v in ints]
     return tuple(ints)
@@ -264,7 +263,11 @@ class GeneratorSet:
 
 
 def cone_generators(constraints, n: int):
-    """Minimal (lines, rays) generating {x : a.x <= 0 for a in constraints}."""
+    """Minimal (lines, rays, zero_sets) generating {x : a.x <= 0 for a in constraints}.
+
+    zero_sets[i] is the frozenset of constraint indices tight at rays[i],
+    tracked exactly through the iteration; every line is tight everywhere.
+    """
     cons = [primitive(a) for a in constraints]
     for a in cons:
         if len(a) != n:
@@ -328,23 +331,15 @@ def cone_generators(constraints, n: int):
                         for i, (r, z) in enumerate(rays)]
 
     lines = _canonical_lines(lines, n)
-    out = []
-    seen = set()
-    lin_dim = len(lines)
-    for r, _ in rays:
+    cands = {}
+    for r, z in rays:
         r = reduce_mod_lines(r, lines)
-        if is_zero(r):
-            continue
-        r = primitive(r)
-        if r in seen:
-            continue
-        tight = [cons[i] for i in range(len(cons)) if _idot(cons[i], r) == 0]
-        if rank(tight) != n - lin_dim - 1:
-            continue
-        seen.add(r)
-        out.append(r)
-    out.sort()
-    return lines, out
+        if not is_zero(r):
+            cands[primitive(r)] = z
+    # extreme iff the minimal face (mod lines) holds no second candidate
+    out = sorted((r, z) for r, z in cands.items()
+                 if not any(z <= z2 for r2, z2 in cands.items() if r2 != r))
+    return lines, [r for r, _ in out], [z for _, z in out]
 
 
 def _adjacent(zsets, i, j) -> bool:
@@ -515,9 +510,9 @@ def polyhedron_from_halfspaces(halfspaces, ambient_dim=None) -> Polyhedron:
     for h in hs:
         if h.dim != d:
             raise GeometryError("halfspace dimensions disagree")
-    cons = [(-h.offset,) + tuple(map(Fraction, h.normal)) for h in hs]
-    cons.append((Fraction(-1),) + zero_vec(d))  # homogenizing x0 >= 0
-    lines, rays = cone_generators(cons, d + 1)
+    cons = [(-h.offset,) + h.normal for h in hs]
+    cons.append((-1,) + (0,) * d)  # homogenizing x0 >= 0
+    lines, rays, _ = cone_generators(cons, d + 1)
     if lines:
         raise GeometryError("polyhedron contains a line (not pointed)")
     pts = []
@@ -554,61 +549,51 @@ def _assemble(pts, rys, d) -> Polyhedron:
     """Canonical Polyhedron from deduplicated generators (V -> H -> filter)."""
     # Valid inequalities y = (-c, n) of conv(pts)+cone(rys) form the polar cone
     # of the homogenized generators; its extreme rays are the facets, its
-    # lineality encodes the affine hull.
-    cons = [(Fraction(1),) + p for p in pts] + [(Fraction(0),) + tuple(map(Fraction, r)) for r in rys]
-    lines, polar_rays = cone_generators(cons, d + 1)
+    # lineality encodes the affine hull. A polar ray's zero set names the
+    # generators (points, then rays) tight on its halfspace.
+    cons = [(1,) + p for p in pts] + [(0,) + r for r in rys]
+    lines, polar_rays, zero_sets = cone_generators(cons, d + 1)
+    n_pts, gens = len(pts), range(len(cons))
 
-    halfspaces = []
+    tight_on = {}  # halfspace -> indices of the generators tight on it
     for line in lines:
-        n = line[1:]
-        if all(x == 0 for x in n):
+        if not any(line[1:]):
             raise GeometryError("unexpected trivial equality in dual description (internal)")
-        c = Fraction(-line[0])
-        halfspaces.append(Hyperplane.make(n, c))
-        halfspaces.append(Hyperplane.make([-x for x in n], -c))
-    for ray in polar_rays:
-        n = ray[1:]
-        if all(x == 0 for x in n):
-            continue  # horizon direction, not a supporting halfspace
-        c = Fraction(-ray[0])
-        h = Hyperplane.make(n, c)
-        if any(h.tight_at(p) for p in pts):
-            halfspaces.append(h)
-    halfspaces = sorted(set(halfspaces), key=Hyperplane.key)
+        h = _halfspace(line)
+        tight_on[h] = tight_on[h.flipped()] = gens
+    for ray, z in zip(polar_rays, zero_sets):
+        if any(g < n_pts for g in z):  # else the horizon, not a supporting halfspace
+            tight_on[_halfspace(ray)] = z
+    halfspaces = sorted(tight_on, key=Hyperplane.key)
+    inc = [[] for _ in gens]
+    for i, h in enumerate(halfspaces):
+        for g in tight_on[h]:
+            inc[g].append(i)
+    inc = [frozenset(s) for s in inc]  # ascending insertion fixes the iteration order
 
-    inc_pts = [frozenset(i for i, h in enumerate(halfspaces) if h.tight_at(p)) for p in pts]
-    inc_rys = [frozenset(i for i, h in enumerate(halfspaces) if _idot(h.normal, r) == 0)
-               for r in rys]
+    # minimal generators: no other one lies in the generator's minimal face
+    def minimal(g, rivals):
+        return not any(inc[g] <= inc[o] for o in rivals if o != g)
 
-    vertices = []
-    v_inc = []
-    for p, inc in zip(pts, inc_pts):
-        if rank([halfspaces[i].normal for i in inc]) == d:
-            vertices.append(p)
-            v_inc.append(inc)
-    extreme_rays = []
-    r_inc = []
-    for r, inc in zip(rys, inc_rys):
-        if rank([halfspaces[i].normal for i in inc]) == d - 1:
-            extreme_rays.append(r)
-            r_inc.append(inc)
-
-    order_p = sorted(range(len(vertices)), key=lambda i: vertices[i])
-    order_r = sorted(range(len(extreme_rays)), key=lambda i: extreme_rays[i])
-    points = tuple(vertices[i] for i in order_p)
-    rays = tuple(extreme_rays[i] for i in order_r)
-    incidence = tuple([v_inc[i] for i in order_p] + [r_inc[i] for i in order_r])
-
+    order_p = sorted((g for g in range(n_pts) if minimal(g, gens)), key=lambda g: pts[g])
+    order_r = sorted((g for g in gens[n_pts:] if minimal(g, gens[n_pts:])),
+                     key=lambda g: rys[g - n_pts])
     poly = Polyhedron(
         ambient_dim=d,
         halfspaces=tuple(halfspaces),
-        points=points,
-        rays=rays,
-        incidence=incidence,
-        dim=affine_rank(points, rays),
+        points=tuple(pts[g] for g in order_p),
+        rays=tuple(rys[g - n_pts] for g in order_r),
+        incidence=tuple(inc[g] for g in order_p + order_r),
+        dim=d - len(lines),  # each polar line is one equation of the affine hull
     )
     _check_polyhedron(poly, pts, rys)
     return poly
+
+
+def _halfspace(y) -> Hyperplane:
+    """Halfspace n.x <= -y0 of an integer polar vector y = (y0, n), n nonzero."""
+    g = gcd(*y[1:])
+    return Hyperplane(tuple(x // g for x in y[1:]), Fraction(-y[0], g))
 
 
 def _check_polyhedron(poly, original_pts, original_rys):

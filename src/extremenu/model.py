@@ -145,7 +145,7 @@ def polar_cone(rays):
     for r in rays:
         if is_zero(r):
             raise geo.GeometryError("zero ray in cone input")
-    lines, polar = geo.cone_generators(rays, d)
+    lines, polar, _ = geo.cone_generators(rays, d)
     if lines:
         raise ScenarioError("type cone is not full-dimensional (polar has lineality)")
     # cross-validation: polar rays against cone rays, and double polar
@@ -154,7 +154,7 @@ def polar_cone(rays):
             if geo.dot(as_vec(p), r) > 0:
                 raise geo.GeometryError("polar ray fails nonpositivity (internal)")
     if polar:
-        lines2, rays2 = geo.cone_generators(polar, d)
+        lines2, rays2, _ = geo.cone_generators(polar, d)
         for r2 in rays2:
             if any(geo._idot(r2, p) > 0 for p in polar):
                 raise geo.GeometryError("double polar escaped the cone (internal)")

@@ -260,7 +260,7 @@ def _convex_position(items, cone):
 
 
 def _in_polar(x, cone: TypeCone):
-    return all(dot(as_vec(r), x) <= 0 for r in cone.rays)
+    return all(geo._int_dot(r, x)[0] <= 0 for r in cone.rays)
 
 
 def hausdorff_bound(menu_a, menu_b) -> Fraction:

@@ -1,4 +1,6 @@
+import math
 from fractions import Fraction as F
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -565,3 +567,85 @@ def test_faces_match_closure_on_corpus():
         for poly in (case.scenario.space.poly, extended_menu(case.scenario).poly):
             for k in range(poly.ambient_dim + 1):
                 assert faces(poly, k) == closure_faces(poly, k), (case.name, k)
+
+
+# -- V -> H minimal generators against the rank definitions ----------------
+
+
+@given(generator_sets())
+@settings(max_examples=200, deadline=None)
+def test_minimal_generators_match_rank_definition(gens):
+    # vertices have tight normals of rank d, extreme rays of rank d - 1, with
+    # tight sets from Fraction dot products rather than the zero sets
+    pts, rays = gens
+    poly = polyhedron_from_generators(pts, rays)
+    d, hs = poly.ambient_dim, poly.halfspaces
+    vertices = sorted(p for p in set(map(as_vec, pts))
+                      if rank([h.normal for h in hs if dot(h.normal, p) == h.offset]) == d)
+    extreme = sorted(r for r in set(map(geo.primitive, rays))
+                     if rank([h.normal for h in hs if dot(h.normal, r) == 0]) == d - 1)
+    assert poly.points == tuple(vertices)
+    assert poly.rays == tuple(extreme)
+    assert poly.dim == affine_rank(poly.points, poly.rays)
+
+
+@st.composite
+def constraint_lists(draw):
+    n = draw(st.integers(2, 4))
+    row = st.tuples(*[st.integers(-2, 2)] * n)
+    cons = draw(st.lists(row, min_size=1, max_size=7))
+    cons += draw(st.lists(st.sampled_from(cons), max_size=2))  # repeated rows
+    if draw(st.booleans()):
+        cons.insert(draw(st.integers(0, len(cons))), (0,) * n)
+    return draw(st.permutations(cons)), n
+
+
+def extreme_rays_by_rank(cons, n, lines):
+    """Every extreme ray of {x : a.x <= 0} mod lines, by brute force: a set of
+    n - lin_dim - 1 constraints of full rank fixes a direction up to sign;
+    keep a sign that is feasible and whose tight constraints have rank
+    n - lin_dim - 1 (the rank definition of an extreme ray)."""
+    k = n - len(lines) - 1
+    out = set()
+    for sub in combinations(cons, k) if k >= 0 else ():
+        basis = nullspace_basis(list(sub) + list(lines))
+        if len(basis) != 1:
+            continue
+        for v in (basis[0], tuple(-x for x in basis[0])):
+            if all(dot(a, v) <= 0 for a in cons) and \
+                    rank([a for a in cons if dot(a, v) == 0]) == k:
+                out.add(geo.primitive(geo.reduce_mod_lines(geo.primitive(v), lines)))
+    return sorted(out)
+
+
+@given(constraint_lists())
+@settings(max_examples=200, deadline=None)
+def test_cone_generators_match_rank_filter(case):
+    cons, n = case
+    lines, rays, zero_sets = geo.cone_generators(cons, n)
+    assert len(lines) == n - rank(cons)
+    assert all(dot(a, l) == 0 for a in cons for l in lines)
+    assert rays == extreme_rays_by_rank(cons, n, lines)
+    assert zero_sets == [frozenset(k for k, a in enumerate(cons) if dot(a, r) == 0)
+                         for r in rays]
+
+
+def test_non_pointed_generators_rejected():
+    # (1, 2) + (-1, 0) + (0, -1) span a line, so (0, 0) is no vertex; its
+    # halfspaces (none) are tight at every ray, not at another point
+    with pytest.raises(GeometryError, match=r"^pointed polyhedron lost all vertices \(internal\)$"):
+        polyhedron_from_generators([(0, 0)], [(1, 2), (-1, 0), (0, -1)])
+
+
+@given(st.lists(st.one_of(COORDS, st.integers(-10**6, 10**6)), min_size=1, max_size=6))
+@settings(max_examples=300, deadline=None)
+def test_primitive_scales_to_coprime_integers(u):
+    p = geo.primitive(u)
+    assert len(p) == len(u) and all(type(v) is int for v in p)
+    if not any(u):
+        assert p == (0,) * len(u)
+        return
+    assert math.gcd(*p) == 1
+    scale = {F(v) / a for v, a in zip(p, u) if a != 0}
+    assert len(scale) == 1 and scale.pop() > 0  # one positive factor: orientation kept
+    assert all(v == 0 for v, a in zip(p, u) if a == 0)

@@ -213,6 +213,17 @@ def test_extend_menu_solves_no_lp(monkeypatch):
     assert absorbed >= 3
 
 
+def test_extend_menu_takes_no_rank(monkeypatch):
+    # V -> H reads minimality, incidence and dimension off the DD zero sets
+    def no_rank(*args, **kwargs):
+        raise AssertionError("extend_menu reached rank")
+
+    monkeypatch.setattr(geo, "rank", no_rank)
+    for case in CORPUS:
+        sc = case.scenario
+        assert extend_menu(sc.menu, sc.cone, sc.space).poly.points
+
+
 def test_preset_spaces_are_cached():
     for preset in ("simplex", "cube", "monopoly"):
         pair = space_for_preset(preset, d=3)
