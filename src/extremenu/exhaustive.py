@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 from . import geometry as geo
 from .geometry import Fraction, as_vec, nullspace_basis, rank, solve_affine
+from .kernels import rref_sparse
 from .model import AllocationSpace, ExtendedMenu
 
 
@@ -90,10 +91,13 @@ def _feasible_step(t, em, space) -> Fraction:
 
 
 def facet_conditions_hold(facet_indices, space: AllocationSpace) -> bool:
-    """Spanning + empty-intersection test on an explicit facet index set."""
-    normals = [space.facets[i].normal for i in facet_indices]
-    offsets = [space.facets[i].offset for i in facet_indices]
-    return rank(normals) == space.dim and solve_affine(normals, offsets) is None
+    """Spanning + empty-intersection test on an explicit facet index set: both
+    hold iff the rows [n | c] of the facets n.x <= c, scaled by c's denominator
+    to integers, have rank d + 1 (normals of rank d, no common point)."""
+    hs = [space.facets[i] for i in facet_indices]
+    rows = [dict(enumerate([h.offset.denominator * a for a in h.normal] + [h.offset.numerator]))
+            for h in hs]
+    return len(rref_sparse(rows, space.dim + 1)[0]) == space.dim + 1
 
 
 def minimal_exhaustive_subset(vertices, space: AllocationSpace, must_include=None):

@@ -597,10 +597,15 @@ def _halfspace(y) -> Hyperplane:
 
 
 def _check_polyhedron(poly, original_pts, original_rys):
-    """Internal invariants: generators satisfy every halfspace; inputs too."""
+    """Internal invariants: generators satisfy every halfspace; inputs too.
+    In integers: n.p <= num/den iff (-num, den n).(L, L p) <= 0, where L is the
+    common denominator of p."""
+    hom = [primitive((1,) + p) for p in original_pts]
     for h in poly.halfspaces:
-        for p in original_pts:
-            if not h.contains(p):
+        c = h.offset
+        y = (-c.numerator,) + tuple(c.denominator * a for a in h.normal)
+        for p, hp in zip(original_pts, hom):
+            if _idot(y, hp) > 0:
                 raise GeometryError(f"generator {p} violates halfspace {h} (internal)")
         for r in original_rys:
             if _idot(h.normal, r) > 0:

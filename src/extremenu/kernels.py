@@ -1,4 +1,4 @@
-"""Exact sparse integer row reduction and nullspace bases.
+"""Exact sparse integer row reduction, nullspace bases and determinants.
 
 Rows are dicts mapping column index -> nonzero int. All arithmetic is exact
 and integer-only; rows are kept primitive (content 1) after every update so
@@ -70,6 +70,26 @@ def rref_sparse(rows, ncols):
         reduced.append(prow)
         pivots.append(col)
     return pivots, reduced
+
+
+def det(rows):
+    """Determinant of a square integer matrix by Bareiss elimination: step k
+    leaves (k+1)-minors, so dividing by the previous pivot is exact (Bareiss
+    1968). A zero pivot swaps in a lower row; with none the determinant is 0."""
+    m = [list(r) for r in rows]
+    sign, prev = 1, 1
+    for k in range(len(m) - 1):
+        if m[k][k] == 0:
+            swap = next((i for i in range(k + 1, len(m)) if m[i][k]), None)
+            if swap is None:
+                return 0
+            m[k], m[swap], sign = m[swap], m[k], -sign
+        p, tail = m[k][k], m[k][k + 1:]
+        for row in m[k + 1:]:
+            f = row[k]
+            row[k + 1:] = [(v * p - f * w) // prev for v, w in zip(row[k + 1:], tail)]
+        prev = p
+    return sign * m[-1][-1] if m else 1
 
 
 def nullspace(rows, ncols):

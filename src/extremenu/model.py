@@ -10,7 +10,7 @@ incidences drive every downstream decision.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 import math
 
 from . import geometry as geo
@@ -226,11 +226,17 @@ class ExtendedMenu:
     edges: tuple  # pairs of indices into vertices, bounded 1-faces only
     facet_incidence: tuple  # per vertex: frozenset of A-facet indices
     binding: frozenset  # union of facet incidences = F(x)
-    absorbed: tuple
+    items: tuple  # the menu items, absorbed ones included
 
     @property
     def dim(self) -> int:
         return self.poly.ambient_dim
+
+    @cached_property
+    def absorbed(self) -> tuple:
+        """Certificates of the items that are no vertex, built on first read."""
+        return tuple(AbsorbedItem(item, *geo.caratheodory_decomposition(self.poly, item))
+                     for item in self.items if item not in self.vertices)
 
 
 @dataclass(frozen=True)
@@ -319,16 +325,10 @@ def extend_menu(menu: Menu, cone: TypeCone, space: AllocationSpace) -> ExtendedM
     """Build M = conv(items) + polar cone with vertices, edges, incidences.
 
     Items absorbed into the extension (payoff-irrelevant) are reported with a
-    dominating-combination certificate.
+    dominating-combination certificate when ``absorbed`` is first read.
     """
     poly = geo.polyhedron_from_generators(menu.items, cone.polar_rays)
     vertices = poly.points
-    vertex_index = {v: i for i, v in enumerate(vertices)}
-    absorbed = []
-    for item in menu.items:
-        if item not in vertex_index:
-            lam, mu = geo.caratheodory_decomposition(poly, item)
-            absorbed.append(AbsorbedItem(item=item, vertex_weights=lam, polar_weights=mu))
     edges = []
     for f in geo.faces(poly, 1):
         if f.bounded:
@@ -345,7 +345,7 @@ def extend_menu(menu: Menu, cone: TypeCone, space: AllocationSpace) -> ExtendedM
         edges=tuple(edges),
         facet_incidence=incid,
         binding=binding,
-        absorbed=tuple(absorbed),
+        items=tuple(menu.items),
     )
 
 

@@ -5,6 +5,10 @@ facets, samples seeded dyadic displacements for everything else, and certifies
 the result with the deformation-system oracle directly, retrying with fresh
 samples when the certificate fails. Determinism: identical (scenario, delta,
 seed) inputs produce identical outputs.
+
+Screening is in integer homogeneous rows (1, p): d + 1 points share a
+hyperplane iff their determinant (``kernels.det``) vanishes, and the plane
+through d points is its cofactor vector c, c.(1, x) = 0, built once per attempt.
 """
 
 from __future__ import annotations
@@ -12,11 +16,14 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
+from math import lcm
 
 from . import geometry as geo
 from .exhaustive import is_exhaustive, minimal_exhaustive_subset
 from .extremality import ExtremalityVerdict, is_extreme_finite
-from .geometry import as_vec, dot, nullspace_basis, rank, vadd, vsub
+from .geometry import as_vec, dot, nullspace_basis, primitive, rank, vadd, vsub
+from .kernels import det
 from .model import AllocationSpace, Menu, TypeCone, extend_menu
 
 MAX_RETRIES = 64
@@ -46,27 +53,30 @@ class PerturbationResult:
 
 
 def is_general_position(points) -> GeneralPositionReport:
-    """No hyperplane contains more than d of the points (rank test on all
-    (d+1)-subsets)."""
+    """No hyperplane contains more than d of the points: every (d+1)-subset of
+    homogeneous rows (1, p) has a nonzero determinant."""
     pts = [as_vec(p) for p in points]
     if not pts:
         raise PerturbationError("need at least one point")
     d = len(pts[0])
     if len(pts) <= d:
         return GeneralPositionReport(True)
-    from itertools import combinations
-
+    hom = [_homogeneous(p) for p in pts]
     for combo in combinations(range(len(pts)), d + 1):
-        base = pts[combo[0]]
-        rows = [vsub(pts[i], base) for i in combo[1:]]
-        if rank(rows) <= d - 1:
-            normal = _containing_hyperplane(rows, d)
+        if det([hom[i] for i in combo]) == 0:
+            base = pts[combo[0]]
+            normal = _containing_hyperplane([vsub(pts[i], base) for i in combo[1:]], d)
             return GeneralPositionReport(
                 False,
                 violating_points=tuple(pts[i] for i in combo),
                 violating_hyperplane=(normal, dot(as_vec(normal), base)),
             )
     return GeneralPositionReport(True)
+
+
+def _homogeneous(p) -> tuple:
+    """Primitive integer (L, L p) for a rational point p, L its common denominator."""
+    return primitive((1,) + tuple(p))
 
 
 def _containing_hyperplane(direction_rows, d):
@@ -177,6 +187,8 @@ def _attempt(menu, space, cone, delta, core, rng, d):
         else:
             return None
     current = [core_new[v] for v in core]
+    hom = [_homogeneous(p) for p in current]
+    planes = _spanned_hyperplanes(combinations(hom, d))
     for item in menu.items:
         if item in core_set:
             placed.append(core_new[item])
@@ -188,7 +200,8 @@ def _attempt(menu, space, cone, delta, core, rng, d):
             cand = vadd(item, step)
             if cand in current or not space.contains(cand):
                 continue
-            if not _avoids_spanned_hyperplanes(cand, current, d):
+            hcand = _homogeneous(cand)
+            if not _avoids_spanned_hyperplanes(hcand, planes):
                 continue
             accepted = cand
             break
@@ -196,7 +209,9 @@ def _attempt(menu, space, cone, delta, core, rng, d):
             return None
         placed.append(accepted)
         moved.append(vsub(accepted, item))
+        planes += _spanned_hyperplanes(c + (hcand,) for c in combinations(hom, d - 1))
         current.append(accepted)
+        hom.append(hcand)
     items = tuple(placed)
     if not _convex_position(items, cone):
         return None
@@ -227,18 +242,21 @@ def _off_affine_hull(x, others):
     return rank(rows + [vsub(x, base)]) > rank(rows)
 
 
-def _avoids_spanned_hyperplanes(x, current, d):
-    """x must avoid every hyperplane spanned by d of the current points."""
-    from itertools import combinations
+def _spanned_hyperplanes(subsets):
+    """Integer c with c.(1, x) = 0 through each subset of d homogeneous points:
+    the signed maximal minors of the d x (d+1) rows, zero (and skipped) exactly
+    when the points span no hyperplane."""
+    planes = []
+    for rows in subsets:
+        c = [(-1) ** j * det([r[:j] + r[j + 1:] for r in rows]) for j in range(len(rows) + 1)]
+        if any(c):
+            planes.append(c)
+    return planes
 
-    for combo in combinations(range(len(current)), d):
-        base = current[combo[0]]
-        rows = [vsub(current[i], base) for i in combo[1:]]
-        if rank(rows) < d - 1:
-            continue  # not a spanning subset; lower-dimensional flats are fine
-        if rank(rows + [vsub(x, base)]) == d - 1:
-            return False
-    return True
+
+def _avoids_spanned_hyperplanes(x, planes):
+    """The homogeneous point x lies on none of the hyperplanes c.(1, x) = 0."""
+    return all(geo._idot(c, x) for c in planes)
 
 
 def _within(cand, origin, delta):
@@ -247,20 +265,17 @@ def _within(cand, origin, delta):
 
 
 def _convex_position(items, cone):
-    """No item absorbed by the others: pairwise v' - v not in the polar cone,
-    plus exact convex-position via the extension (checked by the caller)."""
-    for i, v in enumerate(items):
-        for j, w in enumerate(items):
-            if i == j:
-                continue
-            diff = vsub(v, w)  # v = w + diff; absorbed if diff in polar cone
-            if _in_polar(diff, cone):
+    """No item absorbed by another: v - w in the polar cone, i.e. r.v <= r.w
+    for every type-cone ray r, compared in integers over one common denominator
+    (exact convex position is checked by the caller on the extension)."""
+    den = lcm(*(c.denominator for v in items for c in v))
+    ints = [[c.numerator * (den // c.denominator) for c in v] for v in items]
+    vals = [[geo._idot(r, v) for r in cone.rays] for v in ints]
+    for i, vi in enumerate(vals):
+        for j, vj in enumerate(vals):
+            if i != j and all(a <= b for a, b in zip(vi, vj)):
                 return False
     return True
-
-
-def _in_polar(x, cone: TypeCone):
-    return all(geo._int_dot(r, x)[0] <= 0 for r in cone.rays)
 
 
 def hausdorff_bound(menu_a, menu_b) -> Fraction:

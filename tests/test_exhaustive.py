@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction as F
+from itertools import combinations
 
 import pytest
 
@@ -11,9 +12,14 @@ from extremenu.exhaustive import (
     is_exhaustive,
     minimal_exhaustive_subset,
 )
-from extremenu.geometry import as_vec, dot
-from extremenu.model import extended_menu, unrestricted_cone, validate_scenario
-from extremenu.presets import simplex_space
+from extremenu.geometry import as_vec, dot, rank, solve_affine
+from extremenu.model import (
+    allocation_space_from_points,
+    extended_menu,
+    unrestricted_cone,
+    validate_scenario,
+)
+from extremenu.presets import simplex_space, space_for_preset
 
 
 def em_of(name):
@@ -147,3 +153,26 @@ def test_subset_bound_d_plus_one_random():
         binding = [i for i in range(len(space.facets))
                    for v in sub if space.facets[i].tight_at(v)]
         assert facet_conditions_hold(binding, space)
+
+
+def _random_rational_space(seed):
+    rng = random.Random(seed)
+    d = 2 + seed % 2
+    pts = [tuple(F(rng.randrange(-9, 10), rng.randrange(1, 7)) for _ in range(d))
+           for _ in range(d + 3)]
+    return allocation_space_from_points(pts)
+
+
+@pytest.mark.parametrize("space", [space_for_preset(p, d=d)[0]
+                                   for p in ("simplex", "cube", "monopoly") for d in (2, 3, 4)]
+                         + [_random_rational_space(seed) for seed in range(4)])
+def test_facet_conditions_match_rank_and_solve(space):
+    # one elimination on [q n | q c] against the former rank + solve_affine pair;
+    # the random polytopes have offsets with denominators
+    d = space.dim
+    for r in range(len(space.facets) + 1):
+        for sub in combinations(range(len(space.facets)), r):
+            normals = [space.facets[i].normal for i in sub]
+            offsets = [space.facets[i].offset for i in sub]
+            expected = rank(normals) == d and solve_affine(normals, offsets) is None
+            assert facet_conditions_hold(sub, space) == expected, sub

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from fractions import Fraction as F
 from itertools import combinations
 
@@ -649,3 +650,19 @@ def test_primitive_scales_to_coprime_integers(u):
     scale = {F(v) / a for v, a in zip(p, u) if a != 0}
     assert len(scale) == 1 and scale.pop() > 0  # one positive factor: orientation kept
     assert all(v == 0 for v, a in zip(p, u) if a == 0)
+
+
+def test_check_polyhedron_rejects_a_doctored_halfspace():
+    # conv{(0, 0), (1/3, 2/3)} + cone{(1, 0)}: x2 <= 2/3 is valid and tight at
+    # the second point; x1 <= 1/4 cuts off that point and the ray, and each
+    # must still surface as an internal fault
+    pts = [as_vec((0, 0)), as_vec((F(1, 3), F(2, 3)))]
+    rays = [(1, 0)]
+    poly = polyhedron_from_generators(pts, rays)
+    valid = replace(poly, halfspaces=poly.halfspaces + (Hyperplane.make((0, 1), F(2, 3)),))
+    geo._check_polyhedron(valid, pts, rays)
+    doctored = replace(poly, halfspaces=poly.halfspaces + (Hyperplane.make((1, 0), F(1, 4)),))
+    with pytest.raises(GeometryError, match=r"^generator .* violates halfspace .* \(internal\)$"):
+        geo._check_polyhedron(doctored, pts, [])
+    with pytest.raises(GeometryError, match=r"^ray .* violates halfspace .* \(internal\)$"):
+        geo._check_polyhedron(doctored, pts[:1], rays)

@@ -8,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 from corpus import CORPUS
 
 from extremenu import geometry as geo
-from extremenu.applications import sample_menu
+from extremenu import applications as apps
+from extremenu.applications import genericity_experiment, sample_menu
 from extremenu.geometry import as_vec
 from extremenu.model import (
     Menu,
@@ -361,3 +362,35 @@ def test_support_value_matches_choice_utility():
         if all(t == 0 for t in theta):
             continue
         assert support_value(em, theta) == dot(theta, agent_choice(sc.menu, theta))
+
+
+def test_absorption_certificates_are_built_on_first_read(monkeypatch):
+    sc = monopoly_scenario([(0, 0), (F(1, 2), F(1, 8)), (1, F(1, 2)), (F(1, 4), F(1, 2))])
+    built = []
+    decompose = geo.caratheodory_decomposition
+    monkeypatch.setattr(geo, "caratheodory_decomposition",
+                        lambda poly, x: built.append(x) or decompose(poly, x))
+    em = extend_menu(sc.menu, sc.cone, sc.space)
+    assert built == []
+    assert em.absorbed is em.absorbed and len(em.absorbed) == 1
+    assert built == [(F(1, 4), F(1, 2))]
+
+
+def test_genericity_experiment_builds_no_certificate(monkeypatch):
+    # force_exhaustive and the verdicts read vertices, edges and incidences only
+    def refuse(*args, **kwargs):
+        raise AssertionError("an absorption certificate was built")
+
+    absorbing = []
+    build = apps.extend_menu
+
+    def spy(menu, cone, space):
+        em = build(menu, cone, space)
+        absorbing.append(len(em.vertices) < len(em.items))
+        return em
+
+    monkeypatch.setattr(geo, "caratheodory_decomposition", refuse)
+    monkeypatch.setattr(apps, "extend_menu", spy)
+    for s in range(4):
+        genericity_experiment("cube", 4, 10, 3, s)
+    assert any(absorbing)  # menus with absorbed items did pass through
