@@ -9,12 +9,13 @@ checks, never proofs of domination over the full type space.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 
 from . import geometry as geo
-from .exhaustive import is_exhaustive
+from .exhaustive import facet_conditions_hold, is_exhaustive
 from .extremality import extract_decomposition, is_extreme_finite
 from .geometry import as_vec, dot, frac, is_zero, unit_vec, vadd, vscale, zero_vec
 from .model import (
@@ -410,9 +411,23 @@ def random_rational(rng, lo=0, hi=1, denom=16) -> Fraction:
     return lo + (hi - lo) * Fraction(rng.randrange(0, denom + 1), denom)
 
 
+_GRID = 16  # sample_menu draws coordinates with denominator _GRID
+
+
 def sample_menu(preset: str, d: int, k: int, rng) -> list:
     """k dyadic-rational items inside the preset space (veto included for
-    monopoly)."""
+    monopoly), drawn from the 1/16 grid; k may not exceed its point count."""
+    if preset == "simplex":
+        capacity = math.comb(d + _GRID, d)
+    elif preset in ("cube", "monopoly"):
+        capacity = (_GRID + 1) ** d
+    else:
+        raise ScenarioError(f"unknown preset {preset!r}")
+    if k > capacity:
+        raise ScenarioError(
+            f"sample_menu: k = {k} exceeds the {capacity} points of the "
+            f"{preset} preset's 1/{_GRID} grid in d = {d}"
+        )
     items = []
     if preset == "monopoly":
         items.append(zero_vec(d))
@@ -420,32 +435,50 @@ def sample_menu(preset: str, d: int, k: int, rng) -> list:
     while len(items) < k:
         guard += 1
         if guard > 10000:
-            raise ScenarioError("sample_menu failed to fill the menu (degenerate preset?)")
-        if preset == "simplex":
-            p = tuple(random_rational(rng) for _ in range(d))
-            if sum(p, Fraction(0)) > 1:
-                continue
-        elif preset in ("cube", "monopoly"):
-            p = tuple(random_rational(rng) for _ in range(d))
-        else:
-            raise ScenarioError(f"unknown preset {preset!r}")
+            raise ScenarioError(
+                f"sample_menu: 10000 draws found only {len(items)} of {k} distinct items"
+            )
+        p = tuple(random_rational(rng, denom=_GRID) for _ in range(d))
+        if preset == "simplex" and sum(p, Fraction(0)) > 1:
+            continue
         if p not in items:
             items.append(p)
     return items
 
 
+def _exhaustive_binding(items, space: AllocationSpace, cone: TypeCone):
+    """(exhaustive, binding) of the extended menu M of the distinct items."""
+    items = tuple(dict.fromkeys(items))
+    if cone.polar_rays:
+        em = extend_menu(Menu(items=items), cone, space)
+        return is_exhaustive(em, space).exhaustive, em.binding
+    binding = frozenset().union(*map(space.facet_set, items))
+    if len(items) == 1:  # a singleton is exhaustive exactly at a vertex of A
+        return geo.rank([space.facets[i].normal for i in binding]) == space.dim, binding
+    return facet_conditions_hold(binding, space), binding
+
+
 def force_exhaustive(items, space: AllocationSpace, cone: TypeCone):
     """Touch-point construction: project items onto untouched facets until the
-    menu is exhaustive; falls back to pinning one item at a vertex of A."""
+    menu is exhaustive; falls back to pinning one item at a vertex of A.
+    Returns the forced items without duplicates, in order.
+
+    The exit tests read only M's binding facets and its exhaustiveness. With
+    an unrestricted type cone M = conv(items), and an item on a facet H of A
+    is a positive combination of vertices of M that all lie on H, so the
+    binding set is the union of the items' own facet sets and no M is built.
+    With polar rays an item can lie on a facet that M's vertices miss, so M
+    is built as before.
+    """
     items = [as_vec(p) for p in items]
     movable = set(range(len(items)))
     if space.veto is not None and space.veto in items:
         movable.discard(items.index(space.veto))
     for _ in range(2 * len(space.facets) + 2):
-        em = extend_menu(Menu(items=tuple(dict.fromkeys(items))), cone, space)
-        if is_exhaustive(em, space).exhaustive:
-            return items
-        untouched = [f for f in range(len(space.facets)) if f not in em.binding]
+        exhaustive, binding = _exhaustive_binding(items, space, cone)
+        if exhaustive:
+            return list(dict.fromkeys(items))
+        untouched = [f for f in range(len(space.facets)) if f not in binding]
         if not untouched or not movable:
             break
         f = untouched[0]
@@ -460,9 +493,8 @@ def force_exhaustive(items, space: AllocationSpace, cone: TypeCone):
         movable.discard(cand)
     # fallback: pin the first movable item at a vertex, a second on a facet
     # missing that vertex
-    em = extend_menu(Menu(items=tuple(dict.fromkeys(items))), cone, space)
-    if is_exhaustive(em, space).exhaustive:
-        return items
+    if _exhaustive_binding(items, space, cone)[0]:
+        return list(dict.fromkeys(items))
     movable = sorted(set(range(len(items))) - ({items.index(space.veto)} if space.veto in items else set()))
     if len(items) == 1 and movable:
         # a singleton is exhaustive exactly at a vertex of A
@@ -479,8 +511,7 @@ def force_exhaustive(items, space: AllocationSpace, cone: TypeCone):
     t = (h.offset - dot(n, base)) / dot(n, n)
     items[movable[1]] = vadd(base, vscale(n, t))
     items = list(dict.fromkeys(items))
-    em = extend_menu(Menu(items=tuple(items)), cone, space)
-    if not is_exhaustive(em, space).exhaustive:
+    if not _exhaustive_binding(items, space, cone)[0]:
         raise ScenarioError("exhaustiveness forcing failed")
     return items
 

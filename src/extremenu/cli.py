@@ -32,6 +32,7 @@ from .model import (
     allocation_space_from_halfspaces,
     extended_menu,
     make_type_cone,
+    render_linear,
     unrestricted_cone,
     validate_scenario,
 )
@@ -242,8 +243,6 @@ def _extended_block(scenario, em) -> dict:
 
 
 def geo_render(h: Hyperplane) -> str:
-    from .model import render_linear
-
     return render_linear(h.normal, h.offset)
 
 

@@ -11,6 +11,7 @@ products, which is rational and avoids irrational norms.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -77,8 +78,6 @@ def _clockwise_cycle(points):
     def half(i):
         dx, dy = points[i][0] - cx, points[i][1] - cy
         return 0 if (dy > 0 or (dy == 0 and dx > 0)) else 1
-
-    import functools
 
     def compare(i, j):
         hi, hj = half(i), half(j)

@@ -2,9 +2,11 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from corpus import CORPUS_BY_NAME
 from extremenu import applications as apps
+from extremenu import geometry as geo
 from extremenu.applications import (
     TypeSample,
     delegation_classify,
@@ -19,15 +21,17 @@ from extremenu.applications import (
     veto_undominated,
 )
 from extremenu.exhaustive import is_exhaustive
+from extremenu.geometry import as_vec, dot, vadd, vscale
 from extremenu.model import (
     ConstantObjective,
     Menu,
     ScenarioError,
+    extend_menu,
     extended_menu,
     unrestricted_cone,
     validate_scenario,
 )
-from extremenu.presets import monopoly_cone, monopoly_space, simplex_space
+from extremenu.presets import monopoly_cone, monopoly_space, simplex_space, space_for_preset
 
 
 # -- delegation -----------------------------------------------------------
@@ -256,6 +260,154 @@ def test_force_exhaustive_produces_exhaustive_menus():
         items = force_exhaustive(items, space, cone)
         sc = validate_scenario(space, cone, dict.fromkeys(tuple(p) for p in items))
         assert is_exhaustive(extended_menu(sc), space).exhaustive
+
+
+@pytest.mark.parametrize("preset,capacity", [("simplex", 153), ("cube", 289), ("monopoly", 289)])
+def test_sample_menu_caps_k_at_the_grid(preset, capacity):
+    # d = 2: C(2 + 16, 2) simplex points and 17^2 cube points on the 1/16 grid
+    items = apps.sample_menu(preset, 2, capacity, random.Random(3))
+    assert len(set(items)) == capacity
+    rng = random.Random(3)
+    with pytest.raises(ScenarioError, match=f"k = {capacity + 1} exceeds the {capacity} points"):
+        apps.sample_menu(preset, 2, capacity + 1, rng)
+    assert rng.random() == random.Random(3).random()  # nothing was drawn
+
+
+def test_sample_menu_draw_guard_says_what_happened():
+    class Stuck:
+        def randrange(self, *args):
+            return 0
+
+    with pytest.raises(ScenarioError, match="10000 draws found only 1 of 2 distinct items"):
+        apps.sample_menu("cube", 2, 2, Stuck())
+
+
+def _former_force_exhaustive(items, space, cone):
+    """The forcing loop as it was when every exit test built M."""
+    items = [as_vec(p) for p in items]
+    movable = set(range(len(items)))
+    if space.veto is not None and space.veto in items:
+        movable.discard(items.index(space.veto))
+    for _ in range(2 * len(space.facets) + 2):
+        em = extend_menu(Menu(items=tuple(dict.fromkeys(items))), cone, space)
+        if is_exhaustive(em, space).exhaustive:
+            return items
+        untouched = [f for f in range(len(space.facets)) if f not in em.binding]
+        if not untouched or not movable:
+            break
+        h = space.facets[untouched[0]]
+        cand = max(movable, key=lambda i: (h.value(items[i]), -i))
+        n = as_vec(h.normal)
+        moved = vadd(items[cand], vscale(n, (h.offset - dot(n, items[cand])) / dot(n, n)))
+        if not space.contains(moved):
+            break
+        items[cand] = moved
+        movable.discard(cand)
+    em = extend_menu(Menu(items=tuple(dict.fromkeys(items))), cone, space)
+    if is_exhaustive(em, space).exhaustive:
+        return items
+    movable = sorted(set(range(len(items))) - ({items.index(space.veto)} if space.veto in items else set()))
+    if len(items) == 1 and movable:
+        return [space.poly.points[0]]
+    if len(movable) < 2:
+        raise ScenarioError("cannot force exhaustiveness with so few movable items")
+    vtx = space.poly.points[0]
+    items[movable[0]] = vtx
+    vertex_facets = space.facet_set(vtx)
+    h = space.facets[next(i for i in range(len(space.facets)) if i not in vertex_facets)]
+    n = as_vec(h.normal)
+    base = items[movable[1]]
+    items[movable[1]] = vadd(base, vscale(n, (h.offset - dot(n, base)) / dot(n, n)))
+    items = list(dict.fromkeys(items))
+    if not is_exhaustive(extend_menu(Menu(items=tuple(items)), cone, space), space).exhaustive:
+        raise ScenarioError("exhaustiveness forcing failed")
+    return items
+
+
+def _outcome(force, items, space, cone):
+    try:
+        return force(list(items), space, cone)
+    except ScenarioError as e:
+        return str(e)
+
+
+def test_force_exhaustive_matches_former_loop_duplicate_free():
+    raised = duplicated = 0
+    for preset in ("simplex", "cube", "monopoly"):
+        for d in (2, 3, 4):
+            space, cone = space_for_preset(preset, d=d)
+            for k in (1, 2, 3, 5, 8):
+                for s in range(4):
+                    items = apps.sample_menu(preset, d, k, random.Random(100 * d + 10 * k + s))
+                    old = _outcome(_former_force_exhaustive, items, space, cone)
+                    new = _outcome(force_exhaustive, items, space, cone)
+                    if isinstance(old, str):
+                        assert new == old
+                        raised += 1
+                        continue
+                    duplicated += len(set(old)) < len(old)
+                    assert new == list(dict.fromkeys(old))
+                    validate_scenario(space, cone, new)  # duplicate-free, inside A
+    assert raised and duplicated
+
+
+@st.composite
+def unrestricted_menus(draw):
+    preset = draw(st.sampled_from(["simplex", "cube"]))
+    d = draw(st.integers(2, 5))
+    items = []
+    for _ in range(draw(st.integers(1, 6))):
+        left = 4  # coordinates on the 1/4 grid
+        coords = []
+        for _ in range(d):
+            c = draw(st.integers(0, left))
+            coords.append(F(c, 4))
+            if preset == "simplex":
+                left -= c
+        items.append(tuple(coords))
+    return preset, d, items
+
+
+@settings(max_examples=60, deadline=None)
+@given(unrestricted_menus())
+def test_binding_is_union_of_item_facet_sets(case):
+    preset, d, items = case
+    space, cone = space_for_preset(preset, d=d)
+    em = extend_menu(Menu(items=tuple(dict.fromkeys(items))), cone, space)
+    union = frozenset().union(*map(space.facet_set, items))
+    assert em.binding == union
+    assert apps._exhaustive_binding(items, space, cone) == (is_exhaustive(em, space).exhaustive, union)
+
+
+def test_forcing_builds_no_extended_menu_on_unrestricted_cones(monkeypatch):
+    spaces = {p: space_for_preset(p, d=3) for p in ("simplex", "cube", "monopoly")}
+    built = []
+    build = geo.polyhedron_from_generators
+
+    def spy(*args, **kwargs):
+        built.append(args)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(geo, "polyhedron_from_generators", spy)
+    for preset in ("simplex", "cube"):
+        space, cone = spaces[preset]
+        for s in range(10):
+            force_exhaustive(apps.sample_menu(preset, 3, 6, random.Random(s)), space, cone)
+    assert built == []
+    space, cone = spaces["monopoly"]
+    force_exhaustive(apps.sample_menu("monopoly", 3, 6, random.Random(0)), space, cone)
+    assert built  # polar rays: M is still built
+
+
+def test_monopoly_binding_is_read_off_m():
+    # (1/2, 1) lies on the transfer cap, but M = conv(items) + polar cone has
+    # the single vertex (0, 0): the cap is no binding facet of M
+    space, cone = monopoly_space(1, 1), monopoly_cone(1)
+    items = [(F(0), F(0)), (F(1, 4), F(3, 4)), (F(1, 2), F(1))]
+    em = extend_menu(Menu(items=tuple(items)), cone, space)
+    assert em.vertices == ((F(0), F(0)),)
+    assert frozenset().union(*map(space.facet_set, items)) == {0, 1, 2}
+    assert apps._exhaustive_binding(items, space, cone) == (True, frozenset({0, 1}))
 
 
 def test_experiment_d3_general_position_fraction_one():

@@ -1,8 +1,10 @@
-"""Every module-level import in the package is used by the module itself.
+"""Every import in the package sits at module level and is used there.
 
 No linter ships with the project, so this is the check for orphaned imports.
 ``__init__.py`` (whose imports are re-exports) and ``from __future__`` are
-exempt; names listed in a module's ``__all__`` count as used.
+exempt; names listed in a module's ``__all__`` count as used. No module has
+an import cycle that a deferred import would have to break, so an import in
+a function or class body is an error too.
 """
 
 import ast
@@ -34,6 +36,13 @@ def unused_imports(source: str) -> list:
     return sorted(f"{name} (line {line})" for name, line in imported.items() if name not in used)
 
 
+def nested_imports(source: str) -> list:
+    tree = ast.parse(source)
+    top = {id(node) for node in tree.body}
+    return sorted(f"line {node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, (ast.Import, ast.ImportFrom)) and id(node) not in top)
+
+
 def test_checker_flags_an_unused_import():
     source = (
         "from __future__ import annotations\n"
@@ -49,3 +58,21 @@ def test_checker_flags_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_no_unused_module_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_checker_flags_a_nested_import():
+    source = (
+        "import math\n"
+        "def f():\n"
+        "    from .model import render_linear\n"
+        "    return render_linear\n"
+        "class C:\n"
+        "    import functools\n"
+    )
+    assert nested_imports(source) == ["line 3", "line 6"]
+
+
+@pytest.mark.parametrize("path", sorted(MODULES + [Path(extremenu.__file__)]),
+                         ids=lambda p: p.name)
+def test_no_imports_inside_functions(path):
+    assert nested_imports(path.read_text(encoding="utf-8")) == []

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from corpus import CORPUS
 
 from extremenu import geometry as geo
-from extremenu import applications as apps
+from extremenu import model
 from extremenu.applications import genericity_experiment, sample_menu
 from extremenu.geometry import as_vec
 from extremenu.model import (
@@ -382,15 +382,18 @@ def test_genericity_experiment_builds_no_certificate(monkeypatch):
         raise AssertionError("an absorption certificate was built")
 
     absorbing = []
-    build = apps.extend_menu
+    build = model.extend_menu
 
     def spy(menu, cone, space):
         em = build(menu, cone, space)
         absorbing.append(len(em.vertices) < len(em.items))
         return em
 
+    # forcing on the cube builds no extended menu; the experiment's own
+    # build goes through the cached model.extended_menu
+    extended_menu.cache_clear()
     monkeypatch.setattr(geo, "caratheodory_decomposition", refuse)
-    monkeypatch.setattr(apps, "extend_menu", spy)
+    monkeypatch.setattr(model, "extend_menu", spy)
     for s in range(4):
         genericity_experiment("cube", 4, 10, 3, s)
     assert any(absorbing)  # menus with absorbed items did pass through
