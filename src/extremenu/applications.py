@@ -149,20 +149,20 @@ def delegation_classify(scenario: Scenario) -> DelegationReport:
         source = "size-rule"
         verdict = is_extreme_finite(em, space)
         if verdict.extreme != extreme:
-            raise geo.GeometryError("three-alternative size rule disagrees (internal)")
+            raise geo.InternalError("three-alternative size rule disagrees (internal)")
     else:
         verdict = is_extreme_finite(em, space)
         extreme = verdict.extreme
         source = "deformation-system"
         rep = is_exhaustive(em, space)
         if extreme and not rep.exhaustive:
-            raise geo.GeometryError("extreme but not exhaustive (internal)")
+            raise geo.InternalError("extreme but not exhaustive (internal)")
         if not extreme and rep.exhaustive:
             cert = extract_decomposition(em, space, verdict.direction)
             for items in (cert.menu_plus, cert.menu_minus):
                 for p in items:
                     if not space.contains(p):
-                        raise geo.GeometryError("summand escaped the simplex (internal)")
+                        raise geo.InternalError("summand escaped the simplex (internal)")
     return DelegationReport(kind=kind, menu_size=n, extreme=extreme, source=source)
 
 
@@ -203,7 +203,7 @@ def monopoly_pricing_analysis(scenario: Scenario) -> PricingAnalysis:
         g = tuple(Fraction(h.normal[i], -nt) for i in range(m))
         for gi in g:
             if gi < 0 or gi > 1:
-                raise geo.GeometryError(
+                raise geo.InternalError(
                     f"marginal price {gi} escaped [0,1] (internal)"
                 )
         vproj = [poly.points[i][:m] for i in range(n_pts) if j in poly.incidence[i]]
@@ -218,13 +218,13 @@ def monopoly_pricing_analysis(scenario: Scenario) -> PricingAnalysis:
         if counted:
             gradients.add(g)
     if not any(per_direction):
-        raise geo.GeometryError("price schedule covers no coordinate segment (internal)")
+        raise geo.InternalError("price schedule covers no coordinate segment (internal)")
     ranges = []
     margin = None
     for i in range(m):
         vals = per_direction[i]
         if not vals:
-            raise geo.GeometryError(f"no facet prices good {i + 1} (internal)")
+            raise geo.InternalError(f"no facet prices good {i + 1} (internal)")
         ranges.append((min(vals), max(vals)))
         worst = min(min(v, 1 - v) for v in vals)
         margin = worst if margin is None else min(margin, worst)
@@ -288,7 +288,7 @@ def monopoly_nudge(scenario: Scenario, eps, delta) -> NudgeReport:
         a, t = item[:m], item[m]
         t2 = (1 - eps) * t + delta * sum(a, Fraction(0))
         if abs(t2 - t) > bound:
-            raise geo.GeometryError("nudge displacement bound violated (internal)")
+            raise geo.InternalError("nudge displacement bound violated (internal)")
         new_items.append(a + (t2,))
     nudged = validate_scenario(
         scenario.space, scenario.cone, new_items, scenario.objective,
@@ -305,7 +305,7 @@ def monopoly_nudge(scenario: Scenario, eps, delta) -> NudgeReport:
         )
     floor = min(delta, eps - delta)
     if analysis.delta_margin < floor:
-        raise geo.GeometryError("nudged margin below its guaranteed floor (internal)")
+        raise geo.InternalError("nudged margin below its guaranteed floor (internal)")
     return NudgeReport(scenario=nudged, displacement_bound=bound, margin=analysis.delta_margin)
 
 
@@ -405,12 +405,6 @@ def _instance_rng(seed: int, index: int) -> random.Random:
     return random.Random((seed * 1000003 + index) & 0x7FFFFFFF)
 
 
-def random_rational(rng, lo=0, hi=1, denom=16) -> Fraction:
-    lo = frac(lo)
-    hi = frac(hi)
-    return lo + (hi - lo) * Fraction(rng.randrange(0, denom + 1), denom)
-
-
 _GRID = 16  # sample_menu draws coordinates with denominator _GRID
 
 
@@ -438,7 +432,7 @@ def sample_menu(preset: str, d: int, k: int, rng) -> list:
             raise ScenarioError(
                 f"sample_menu: 10000 draws found only {len(items)} of {k} distinct items"
             )
-        p = tuple(random_rational(rng, denom=_GRID) for _ in range(d))
+        p = tuple(Fraction(rng.randrange(0, _GRID + 1), _GRID) for _ in range(d))
         if preset == "simplex" and sum(p, Fraction(0)) > 1:
             continue
         if p not in items:
@@ -484,9 +478,7 @@ def force_exhaustive(items, space: AllocationSpace, cone: TypeCone):
         f = untouched[0]
         h = space.facets[f]
         cand = max(movable, key=lambda i: (h.value(items[i]), -i))
-        n = as_vec(h.normal)
-        t = (h.offset - dot(n, items[cand])) / dot(n, n)
-        moved = vadd(items[cand], vscale(n, t))
+        moved = h.project(items[cand])
         if not space.contains(moved):
             break
         items[cand] = moved
@@ -505,11 +497,7 @@ def force_exhaustive(items, space: AllocationSpace, cone: TypeCone):
     items[movable[0]] = vtx
     vertex_facets = space.facet_set(vtx)
     f = next(i for i in range(len(space.facets)) if i not in vertex_facets)
-    h = space.facets[f]
-    n = as_vec(h.normal)
-    base = items[movable[1]]
-    t = (h.offset - dot(n, base)) / dot(n, n)
-    items[movable[1]] = vadd(base, vscale(n, t))
+    items[movable[1]] = space.facets[f].project(items[movable[1]])
     items = list(dict.fromkeys(items))
     if not _exhaustive_binding(items, space, cone)[0]:
         raise ScenarioError("exhaustiveness forcing failed")

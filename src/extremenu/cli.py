@@ -23,7 +23,7 @@ from .extremality import (
     extract_decomposition,
     is_extreme_finite,
 )
-from .geometry import GeometryError, Hyperplane
+from .geometry import GeometryError, Hyperplane, InternalError
 from .model import (
     ConstantObjective,
     Scenario,
@@ -257,7 +257,7 @@ def _exhaustiveness_block(em, space) -> dict:
         hom = homothety_cross_check(em, space)
         block["homothety_cross_check"] = hom
         if hom != rep.exhaustive:
-            raise GeometryError("exhaustiveness encodings disagree (internal)")
+            raise InternalError("exhaustiveness encodings disagree (internal)")
     return block
 
 
@@ -276,7 +276,7 @@ def _extremality_block(scenario, em, with_certificate=True) -> dict:
     verdict = is_extreme_finite(em, scenario.space)
     agrees = def_polytope_cross_check(em, scenario.space)
     if agrees != verdict.extreme:
-        raise GeometryError("extremality encodings disagree (internal)")
+        raise InternalError("extremality encodings disagree (internal)")
     block = {
         "extreme": verdict.extreme,
         "nullspace_dimension": verdict.nullity,
@@ -321,7 +321,7 @@ def run_command(name: str, scenario: Scenario, flags) -> dict:
         if scenario.dim == 2:
             report["classification_2d"] = _classify2d_block(scenario, em)
             if report["classification_2d"]["extreme"] != report["extremality"]["extreme"]:
-                raise GeometryError("planar classification disagrees (internal)")
+                raise InternalError("planar classification disagrees (internal)")
     elif name == "decompose":
         report["extremality"] = _extremality_block(scenario, em)
     elif name == "perturb":
@@ -500,18 +500,12 @@ def main(argv=None) -> int:
             report = run_command(args.command, scenario, args)
         sys.stdout.write(render_report(report))
         return 0
-    except (ScenarioError, PerturbationError, planar.PlanarError, OSError) as e:
-        sys.stderr.write(f"error: {e}\n")
-        return 1
-    except GeometryError as e:
-        if "(internal)" in str(e):
-            sys.stderr.write(f"internal invariant violation: {e}\n")
-            return 2
-        sys.stderr.write(f"error: {e}\n")
-        return 1
-    except AssertionError as e:
+    except InternalError as e:
         sys.stderr.write(f"internal invariant violation: {e}\n")
         return 2
+    except (ScenarioError, PerturbationError, planar.PlanarError, GeometryError, OSError) as e:
+        sys.stderr.write(f"error: {e}\n")
+        return 1
     except Exception as e:  # anything else is a fault in the core, not in the input
         detail = " ".join(f"{type(e).__name__}: {e}".split())
         sys.stderr.write(f"internal error: {detail}\n")

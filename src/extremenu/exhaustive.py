@@ -53,7 +53,7 @@ def is_exhaustive(em: ExtendedMenu, space: AllocationSpace) -> ExhaustivenessRep
     if z is not None:
         for i in binding:
             if not space.facets[i].tight_at(z):
-                raise geo.GeometryError("dilation center fails a binding facet (internal)")
+                raise geo.InternalError("dilation center fails a binding facet (internal)")
         return ExhaustivenessReport(False, "failure", witness_center=z, binding=binding)
     return ExhaustivenessReport(True, "spanning-and-empty-intersection", binding=binding)
 
@@ -61,7 +61,7 @@ def is_exhaustive(em: ExtendedMenu, space: AllocationSpace) -> ExhaustivenessRep
 def _translation_witness(normals, d):
     basis = nullspace_basis(normals) if normals else [as_vec([1] + [0] * (d - 1))]
     if not basis:
-        raise geo.GeometryError("no translation witness despite rank deficiency (internal)")
+        raise geo.InternalError("no translation witness despite rank deficiency (internal)")
     return basis[0]
 
 
@@ -69,10 +69,10 @@ def _check_translation(t, em, space):
     """Both ext M + eps t and ext M - eps t must stay in A for small eps > 0."""
     for i in em.binding:
         if space.facets[i].value(t) != 0:
-            raise geo.GeometryError("translation witness not orthogonal to binding facet (internal)")
+            raise geo.InternalError("translation witness not orthogonal to binding facet (internal)")
     eps = _feasible_step(t, em, space)
     if eps <= 0:
-        raise geo.GeometryError("translation witness admits no feasible step (internal)")
+        raise geo.InternalError("translation witness admits no feasible step (internal)")
 
 
 def _feasible_step(t, em, space) -> Fraction:
@@ -166,9 +166,9 @@ def minimal_exhaustive_subset(vertices, space: AllocationSpace, must_include=Non
             raise geo.GeometryError("minimal_exhaustive_subset: input is not exhaustive")
 
     if len(chosen) > d + 1:
-        raise geo.GeometryError("minimal subset exceeded d+1 points (internal)")
+        raise geo.InternalError("minimal subset exceeded d+1 points (internal)")
     if not facet_conditions_hold(facet_union(chosen), space):
-        raise geo.GeometryError("minimal subset failed certification (internal)")
+        raise geo.InternalError("minimal subset failed certification (internal)")
     return tuple(vertices[i] for i in chosen)
 
 
@@ -186,7 +186,7 @@ def homothety_cross_check(em: ExtendedMenu, space: AllocationSpace) -> bool:
     for i, h in enumerate(space.facets):
         support = max(h.value(v) for v in em.vertices)
         if support > h.offset:
-            raise geo.GeometryError("menu escapes the allocation space (internal)")
+            raise geo.InternalError("menu escapes the allocation space (internal)")
         if support == h.offset:
             active.append((support,) + tuple(map(Fraction, h.normal)))
     return rank(active) == space.dim + 1

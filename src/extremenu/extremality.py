@@ -100,7 +100,7 @@ def build_deformation_system(em: ExtendedMenu, space: AllocationSpace) -> Deform
                 continue
             s = h.offset - h.value(v)
             if s <= 0:
-                raise geo.GeometryError("non-incident facet without slack (internal)")
+                raise geo.InternalError("non-incident facet without slack (internal)")
             slacks.append((i, f, s))
     return DeformationSystem(
         vertices=em.vertices,
@@ -132,7 +132,7 @@ def _decode_direction(vec, em: ExtendedMenu, d: int) -> DeformationDirection:
     psi = tuple(tuple(vec[i * d + c] for c in range(d)) for i in range(n))
     mu = tuple(vec[n * d + k] for k in range(len(em.edges)))
     if all(is_zero(p) for p in psi):
-        raise geo.GeometryError("nullspace direction with zero displacements (internal)")
+        raise geo.InternalError("nullspace direction with zero displacements (internal)")
     return DeformationDirection(psi=psi, mu=mu)
 
 
@@ -173,7 +173,7 @@ def extract_decomposition(
     cert = DecompositionCertificate(direction=direction, epsilon=eps, menu_plus=plus, menu_minus=minus)
     res = verify_certificate(cert, em, space)
     if not res:
-        raise geo.GeometryError(f"decomposition certificate failed verification: {res.failure} (internal)")
+        raise geo.InternalError(f"decomposition certificate failed verification: {res.failure} (internal)")
     return cert
 
 
@@ -323,7 +323,7 @@ def is_deformation(em: ExtendedMenu, other: ExtendedMenu) -> bool:
         normals = [hm[j].normal for j in inc]
         rhs = [offsets[j] for j in inc]
         if rank(normals) != em.dim:
-            raise geo.GeometryError("vertex with deficient incidence rank (internal)")
+            raise geo.InternalError("vertex with deficient incidence rank (internal)")
         z = solve_affine(normals, rhs)
         if z is None:
             return False

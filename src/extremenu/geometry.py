@@ -35,6 +35,10 @@ class GeometryError(ValueError):
     """Raised for invalid geometric input (dimension mismatch, lines, ...)."""
 
 
+class InternalError(GeometryError):
+    """A violated invariant of the core: a fault in the program, not the input."""
+
+
 # ---------------------------------------------------------------------------
 # scalars and vectors
 
@@ -236,6 +240,11 @@ class Hyperplane:
         num, den = _int_dot(self.normal, x)
         return num * self.offset.denominator == self.offset.numerator * den
 
+    def project(self, x) -> Vec:
+        """Orthogonal projection of x onto the hyperplane normal . y = offset."""
+        n = as_vec(self.normal)
+        return vadd(x, vscale(n, (self.offset - dot(n, x)) / dot(n, n)))
+
     def flipped(self) -> "Hyperplane":
         return Hyperplane(tuple(-a for a in self.normal), -self.offset)
 
@@ -432,7 +441,7 @@ def caratheodory_decomposition(poly: Polyhedron, x):
     x = as_vec(x)
     hs = poly.halfspaces
     if not poly.contains(x):
-        raise GeometryError(f"point {tuple(map(str, x))} lies outside the polyhedron (internal)")
+        raise InternalError(f"point {tuple(map(str, x))} lies outside the polyhedron (internal)")
     n_pts = len(poly.points)
     lam, mu = {}, {}
     scale = Fraction(1)  # x = (vertex weights so far) + scale * cur
@@ -470,7 +479,7 @@ def _replay_decomposition(poly: Polyhedron, x, vertex_weights, ray_weights):
                   for c in range(len(x)))
     if (any(w <= 0 for w in weights) or len(weights) > poly.dim + 1
             or sum(w for _, w in vertex_weights) != 1 or total != tuple(x)):
-        raise GeometryError(f"decomposition of {tuple(map(str, x))} fails its replay (internal)")
+        raise InternalError(f"decomposition of {tuple(map(str, x))} fails its replay (internal)")
 
 
 def polyhedron_from_generators(points, rays=()) -> Polyhedron:
@@ -558,7 +567,7 @@ def _assemble(pts, rys, d) -> Polyhedron:
     tight_on = {}  # halfspace -> indices of the generators tight on it
     for line in lines:
         if not any(line[1:]):
-            raise GeometryError("unexpected trivial equality in dual description (internal)")
+            raise InternalError("unexpected trivial equality in dual description (internal)")
         h = _halfspace(line)
         tight_on[h] = tight_on[h.flipped()] = gens
     for ray, z in zip(polar_rays, zero_sets):
@@ -606,12 +615,12 @@ def _check_polyhedron(poly, original_pts, original_rys):
         y = (-c.numerator,) + tuple(c.denominator * a for a in h.normal)
         for p, hp in zip(original_pts, hom):
             if _idot(y, hp) > 0:
-                raise GeometryError(f"generator {p} violates halfspace {h} (internal)")
+                raise InternalError(f"generator {p} violates halfspace {h} (internal)")
         for r in original_rys:
             if _idot(h.normal, r) > 0:
-                raise GeometryError(f"ray {r} violates halfspace {h} (internal)")
+                raise InternalError(f"ray {r} violates halfspace {h} (internal)")
     if not poly.points:
-        raise GeometryError("pointed polyhedron lost all vertices (internal)")
+        raise InternalError("pointed polyhedron lost all vertices (internal)")
 
 
 # ---------------------------------------------------------------------------
@@ -731,18 +740,18 @@ def lp_solve(c, a_ub=(), b_ub=(), a_eq=(), b_eq=()) -> LPResult:
     # certify optimality of (x, dual) for the problem as stated
     slack = [bi - dot(r, x) for r, bi in zip(a, b)]
     if any(v < 0 for v in x) or any(s < 0 for s in slack[:m]) or any(slack[m:]):
-        raise GeometryError("lp_solve: primal infeasible point (internal)")
+        raise InternalError("lp_solve: primal infeasible point (internal)")
     if any(yi < 0 for yi in dual[:m]):
-        raise GeometryError("lp_solve: negative dual (internal)")
+        raise InternalError("lp_solve: negative dual (internal)")
     reduced = [sum((yi * r[j] for yi, r in zip(dual, a)), -c[j]) for j in range(n)]
     if any(rj < 0 for rj in reduced):
-        raise GeometryError("lp_solve: negative reduced cost (internal)")
+        raise InternalError("lp_solve: negative reduced cost (internal)")
     if any(yi * si for yi, si in zip(dual, slack)) or any(
         xj * rj for xj, rj in zip(x, reduced)
     ):
-        raise GeometryError("lp_solve: complementary slackness failed (internal)")
+        raise InternalError("lp_solve: complementary slackness failed (internal)")
     if dot(dual, b) != value:
-        raise GeometryError("lp_solve: strong duality failed (internal)")
+        raise InternalError("lp_solve: strong duality failed (internal)")
     return LPResult("optimal", value, x, dual)
 
 
@@ -783,7 +792,7 @@ class _Simplex:
         self._pivot(leave, ncols - 1)
         status = self._optimize()
         if status != "optimal":
-            raise GeometryError("phase-I unbounded (internal)")
+            raise InternalError("phase-I unbounded (internal)")
         if self.obj[0] != 0:
             return False
         if self.aux in self.basic:

@@ -152,14 +152,14 @@ def polar_cone(rays):
     for p in polar:
         for r in rays:
             if geo.dot(as_vec(p), r) > 0:
-                raise geo.GeometryError("polar ray fails nonpositivity (internal)")
+                raise geo.InternalError("polar ray fails nonpositivity (internal)")
     if polar:
         lines2, rays2, _ = geo.cone_generators(polar, d)
         for r2 in rays2:
             if any(geo._idot(r2, p) > 0 for p in polar):
-                raise geo.GeometryError("double polar escaped the cone (internal)")
+                raise geo.InternalError("double polar escaped the cone (internal)")
         if not rays2 and not lines2:
-            raise geo.GeometryError("double polar collapsed (internal)")
+            raise geo.InternalError("double polar collapsed (internal)")
     return tuple(polar)
 
 
@@ -335,7 +335,7 @@ def extend_menu(menu: Menu, cone: TypeCone, space: AllocationSpace) -> ExtendedM
             i, j = f.generator_indices
             edges.append((i, j))
             if j >= len(vertices):
-                raise geo.GeometryError("bounded edge touched a ray (internal)")
+                raise geo.InternalError("bounded edge touched a ray (internal)")
     edges.sort()
     incid = tuple(space.facet_set(v) for v in vertices)
     binding = frozenset().union(*incid) if incid else frozenset()
@@ -359,13 +359,11 @@ def extended_menu(scenario: Scenario) -> ExtendedMenu:
 # agent behaviour
 
 
-def agent_choice(menu: Menu, theta, tiebreak="lexicographic"):
+def agent_choice(menu: Menu, theta):
     """The lexicographically smallest utility maximizer over the menu items."""
     theta = as_vec(theta)
     if is_zero(theta):
         raise ScenarioError("agent_choice: type must be nonzero")
-    if tiebreak != "lexicographic":
-        raise ScenarioError(f"unknown tiebreak rule {tiebreak!r}")
     best_val = None
     best = None
     for item in menu.items:

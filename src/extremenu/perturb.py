@@ -1,14 +1,14 @@
 """General-position testing and perturbation of exhaustive menus into extreme points.
 
 The perturbation keeps a minimal exhaustive core pinned to its allocation
-facets, samples seeded dyadic displacements for everything else, and certifies
-the result with the deformation-system oracle directly, retrying with fresh
-samples when the certificate fails. Determinism: identical (scenario, delta,
-seed) inputs produce identical outputs.
+facets and samples seeded dyadic displacements for everything else. Each
+sampled menu is then certified once: general position (exact), no absorbed
+item, exhaustiveness and extremality by the deformation-system oracle; a
+failed check resamples. Determinism: identical (scenario, delta, seed) inputs
+produce identical outputs.
 
-Screening is in integer homogeneous rows (1, p): d + 1 points share a
-hyperplane iff their determinant (``kernels.det``) vanishes, and the plane
-through d points is its cofactor vector c, c.(1, x) = 0, built once per attempt.
+General position is decided in integer homogeneous rows (1, p): d + 1 points
+share a hyperplane iff their determinant (``kernels.det``) vanishes.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import lcm
 
 from . import geometry as geo
 from .exhaustive import is_exhaustive, minimal_exhaustive_subset
@@ -65,7 +64,7 @@ def is_general_position(points) -> GeneralPositionReport:
     for combo in combinations(range(len(pts)), d + 1):
         if det([hom[i] for i in combo]) == 0:
             base = pts[combo[0]]
-            normal = _containing_hyperplane([vsub(pts[i], base) for i in combo[1:]], d)
+            normal = _containing_hyperplane([vsub(pts[i], base) for i in combo[1:]])
             return GeneralPositionReport(
                 False,
                 violating_points=tuple(pts[i] for i in combo),
@@ -79,10 +78,10 @@ def _homogeneous(p) -> tuple:
     return primitive((1,) + tuple(p))
 
 
-def _containing_hyperplane(direction_rows, d):
+def _containing_hyperplane(direction_rows):
     basis = nullspace_basis(direction_rows)
     if not basis:
-        raise geo.GeometryError("degenerate subset without normal (internal)")
+        raise geo.InternalError("degenerate subset without normal (internal)")
     return basis[0]
 
 
@@ -93,10 +92,10 @@ def perturb_to_extreme(menu: Menu, space: AllocationSpace, cone: TypeCone, delta
     exhaustive core (including the veto when present) keeps its facet
     contacts; one core vertex is nudged within its facet off the affine hull
     of the others when the core is full-sized, and the remaining items take
-    seeded dyadic displacements that avoid every hyperplane spanned by d
-    current points, stay inside A, and preserve convex position and pairwise
-    non-absorption. Extremality is certified by the deformation system, with
-    up to 64 resampling rounds.
+    seeded dyadic displacements that stay inside A and off the points placed
+    so far. A sampled menu is accepted only when it is exactly in general
+    position, no item is absorbed, it stays exhaustive and the deformation
+    system certifies it extreme; otherwise it is resampled, up to 64 rounds.
     """
     delta = geo.frac(delta)
     if delta <= 0:
@@ -128,12 +127,17 @@ def perturb_to_extreme(menu: Menu, space: AllocationSpace, cone: TypeCone, delta
     rng = random.Random(seed)
     last_error = "retry budget exhausted"
     for attempt in range(MAX_RETRIES):
-        result = _attempt(menu, space, cone, delta, core, rng, d)
+        result = _attempt(menu, space, delta, core, rng, d)
         if result is None:
             continue
         new_items, moved = result
-        new_menu = Menu(items=new_items)
-        new_em = extend_menu(new_menu, cone, space)
+        general_position = is_general_position(new_items)
+        if not general_position.general:
+            last_error = "perturbed items not in general position"
+            continue
+        # an item w + p with p != 0 in the polar cone is the midpoint of
+        # w + p/2 and w + 3p/2, so pairwise absorption also shows up here
+        new_em = extend_menu(Menu(items=new_items), cone, space)
         if len(new_em.vertices) != len(new_items):
             last_error = "perturbed item absorbed"
             continue
@@ -151,7 +155,7 @@ def perturb_to_extreme(menu: Menu, space: AllocationSpace, cone: TypeCone, delta
             delta=delta,
             already_extreme=False,
             retries=attempt + 1,
-            general_position=is_general_position(new_items),
+            general_position=general_position,
             exhaustiveness=new_rep,
             extremality=new_verdict,
         )
@@ -161,7 +165,7 @@ def perturb_to_extreme(menu: Menu, space: AllocationSpace, cone: TypeCone, delta
     )
 
 
-def _attempt(menu, space, cone, delta, core, rng, d):
+def _attempt(menu, space, delta, core, rng, d):
     """One seeded perturbation attempt; None when a sample is rejected."""
     core_set = set(core)
     placed = []
@@ -178,8 +182,8 @@ def _attempt(menu, space, cone, delta, core, rng, d):
         others = [v for v in core if v != victim]
         for _ in range(16):
             step = _dyadic_step(rng, d, delta)
-            cand = _project_to_hyperplane(vadd(victim, step), victim, h)
-            if cand is None or not space.contains(cand):
+            cand = h.project(vadd(victim, step))
+            if not space.contains(cand):
                 continue
             if _off_affine_hull(cand, others) and _within(cand, victim, delta):
                 core_new[victim] = cand
@@ -187,35 +191,21 @@ def _attempt(menu, space, cone, delta, core, rng, d):
         else:
             return None
     current = [core_new[v] for v in core]
-    hom = [_homogeneous(p) for p in current]
-    planes = _spanned_hyperplanes(combinations(hom, d))
     for item in menu.items:
         if item in core_set:
             placed.append(core_new[item])
             moved.append(vsub(core_new[item], item))
             continue
-        accepted = None
         for _ in range(16):
-            step = _dyadic_step(rng, d, delta)
-            cand = vadd(item, step)
-            if cand in current or not space.contains(cand):
-                continue
-            hcand = _homogeneous(cand)
-            if not _avoids_spanned_hyperplanes(hcand, planes):
-                continue
-            accepted = cand
-            break
-        if accepted is None:
+            cand = vadd(item, _dyadic_step(rng, d, delta))
+            if cand not in current and space.contains(cand):
+                break
+        else:
             return None
-        placed.append(accepted)
-        moved.append(vsub(accepted, item))
-        planes += _spanned_hyperplanes(c + (hcand,) for c in combinations(hom, d - 1))
-        current.append(accepted)
-        hom.append(hcand)
-    items = tuple(placed)
-    if not _convex_position(items, cone):
-        return None
-    return items, tuple(moved)
+        placed.append(cand)
+        moved.append(vsub(cand, item))
+        current.append(cand)
+    return tuple(placed), tuple(moved)
 
 
 def _dyadic_step(rng, d, delta):
@@ -223,15 +213,6 @@ def _dyadic_step(rng, d, delta):
     denom = 64
     scale = delta / (2 * d)
     return tuple(Fraction(rng.randrange(-denom + 1, denom), denom) * scale for _ in range(d))
-
-
-def _project_to_hyperplane(x, anchor, h):
-    n = as_vec(h.normal)
-    nn = dot(n, n)
-    if nn == 0:
-        return None
-    t = (h.offset - dot(n, x)) / nn
-    return vadd(x, tuple(c * t for c in n))
 
 
 def _off_affine_hull(x, others):
@@ -242,40 +223,9 @@ def _off_affine_hull(x, others):
     return rank(rows + [vsub(x, base)]) > rank(rows)
 
 
-def _spanned_hyperplanes(subsets):
-    """Integer c with c.(1, x) = 0 through each subset of d homogeneous points:
-    the signed maximal minors of the d x (d+1) rows, zero (and skipped) exactly
-    when the points span no hyperplane."""
-    planes = []
-    for rows in subsets:
-        c = [(-1) ** j * det([r[:j] + r[j + 1:] for r in rows]) for j in range(len(rows) + 1)]
-        if any(c):
-            planes.append(c)
-    return planes
-
-
-def _avoids_spanned_hyperplanes(x, planes):
-    """The homogeneous point x lies on none of the hyperplanes c.(1, x) = 0."""
-    return all(geo._idot(c, x) for c in planes)
-
-
 def _within(cand, origin, delta):
     diff = vsub(cand, origin)
     return dot(diff, diff) <= delta * delta
-
-
-def _convex_position(items, cone):
-    """No item absorbed by another: v - w in the polar cone, i.e. r.v <= r.w
-    for every type-cone ray r, compared in integers over one common denominator
-    (exact convex position is checked by the caller on the extension)."""
-    den = lcm(*(c.denominator for v in items for c in v))
-    ints = [[c.numerator * (den // c.denominator) for c in v] for v in items]
-    vals = [[geo._idot(r, v) for r in cone.rays] for v in ints]
-    for i, vi in enumerate(vals):
-        for j, vj in enumerate(vals):
-            if i != j and all(a <= b for a, b in zip(vi, vj)):
-                return False
-    return True
 
 
 def hausdorff_bound(menu_a, menu_b) -> Fraction:

@@ -120,7 +120,7 @@ def _order_vertices(em: ExtendedMenu):
     if n == 2 and not em.edges:
         ends = [0, 1]
     if len(ends) != 2:
-        raise geo.GeometryError("planar path structure violated (internal)")
+        raise geo.InternalError("planar path structure violated (internal)")
     end_ray = {}
     for f in geo.faces(em.poly, 1):
         if not f.bounded:
@@ -140,10 +140,10 @@ def _order_vertices(em: ExtendedMenu):
             prev, cur = cur, nxt[0]
             path.append(cur)
         if len(path) != n:
-            raise geo.GeometryError("planar path traversal failed (internal)")
+            raise geo.InternalError("planar path traversal failed (internal)")
         rs = end_ray.get(start, [])
         if not rs:
-            raise geo.GeometryError("path end without unbounded edge (internal)")
+            raise geo.InternalError("path end without unbounded edge (internal)")
         incoming = tuple(-Fraction(x) for x in rs[0])
         step = vsub(em.vertices[path[1]], em.vertices[path[0]])
         c = _cross(incoming, step)
@@ -151,9 +151,9 @@ def _order_vertices(em: ExtendedMenu):
             order = path
             break
         if c == 0:
-            raise geo.GeometryError("unbounded edge collinear with first step (internal)")
+            raise geo.InternalError("unbounded edge collinear with first step (internal)")
     if order is None:
-        raise geo.GeometryError("could not orient planar path clockwise (internal)")
+        raise geo.InternalError("could not orient planar path clockwise (internal)")
     return order, True
 
 
@@ -202,7 +202,7 @@ def find_flexible_chain(partition: BoundaryPartition, em: ExtendedMenu, space: A
     if partition.sentinels:
         elements = [SENTINEL] + order + [SENTINEL]
         if n == 0:
-            raise geo.GeometryError("two-sentinel chain on an empty menu (internal)")
+            raise geo.InternalError("two-sentinel chain on an empty menu (internal)")
         m = len(elements)
         for length in range(2, m + 1):
             for start in range(0, m - length + 1):
@@ -251,12 +251,12 @@ def _endpoint_chain(seq, ok_end, not_corner, em, space):
             return None
     for e in seq[1:-1]:
         if e == SENTINEL:
-            raise geo.GeometryError("sentinel in chain interior (internal)")
+            raise geo.InternalError("sentinel in chain interior (internal)")
         if e not in not_corner:
             return None
     if len(seq) == 2:
         if first == SENTINEL and last == SENTINEL:
-            raise geo.GeometryError("two-sentinel chain on a nonempty menu (internal)")
+            raise geo.InternalError("two-sentinel chain on a nonempty menu (internal)")
         if first != SENTINEL and last != SENTINEL:
             # the connecting edge must not run inside the boundary of A
             if em.facet_incidence[first] & em.facet_incidence[last]:
@@ -278,11 +278,11 @@ def _sine_sq_products(order, em: ExtendedMenu, space: AllocationSpace):
         w = em.vertices[order[(k + 1) % n]]
         fset = em.facet_incidence[v_idx]
         if len(fset) != 1:
-            raise geo.GeometryError("B1 vertex with multiple facets (internal)")
+            raise geo.InternalError("B1 vertex with multiple facets (internal)")
         f = next(iter(fset))
         ends = [i for i in a_cycle if space.facets[f].tight_at(a_pts[i])]
         if len(ends) != 2:
-            raise geo.GeometryError("planar facet without two corners (internal)")
+            raise geo.InternalError("planar facet without two corners (internal)")
         # a precedes b on A's clockwise boundary
         i0 = a_cycle.index(ends[0])
         i1 = a_cycle.index(ends[1])
@@ -291,7 +291,7 @@ def _sine_sq_products(order, em: ExtendedMenu, space: AllocationSpace):
         elif (i1 + 1) % len(a_cycle) == i0:
             a_pt, b_pt = a_pts[ends[1]], a_pts[ends[0]]
         else:
-            raise geo.GeometryError("facet corners not adjacent on A (internal)")
+            raise geo.InternalError("facet corners not adjacent on A (internal)")
         prod_a *= _sin_sq(vsub(u, v), vsub(a_pt, v))
         prod_b *= _sin_sq(vsub(w, v), vsub(b_pt, v))
     return prod_a, prod_b
@@ -302,7 +302,7 @@ def _sin_sq(u, v) -> Fraction:
     nu = dot(u, u)
     nv = dot(v, v)
     if nu == 0 or nv == 0:
-        raise geo.GeometryError("degenerate angle leg (internal)")
+        raise geo.InternalError("degenerate angle leg (internal)")
     return c * c / (nu * nv)
 
 

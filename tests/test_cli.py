@@ -256,29 +256,32 @@ def test_decomposition_outside_point_exits_internal(tmp_path, monkeypatch, capsy
     assert err.startswith("internal invariant violation: ") and "outside the polyhedron" in err
 
 
-def _geometry_error_messages():
-    """(file:line, literal text) of every GeometryError(...) raised in src/."""
+def _raised_messages():
+    """(file:line, exception name, literal text) of every raise of a call in src/."""
     src = pathlib.Path(cli.__file__).parent
     for path in sorted(src.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
             if not isinstance(node, ast.Raise) or not isinstance(node.exc, ast.Call):
                 continue
             func = node.exc.func
-            if getattr(func, "id", getattr(func, "attr", None)) != "GeometryError":
-                continue
             parts = [n.value for arg in node.exc.args for n in ast.walk(arg)
                      if isinstance(n, ast.Constant) and isinstance(n.value, str)]
-            yield f"{path.name}:{node.lineno}", "".join(parts)
+            yield (f"{path.name}:{node.lineno}", getattr(func, "id", getattr(func, "attr", None)),
+                   "".join(parts))
 
 
 def test_invariant_messages_carry_internal_marker():
-    # cli.main sends a GeometryError to exit 2 only when its text holds
-    # "(internal)"; a message naming an invariant without that exact marker
-    # would exit 1 like an input error
-    sites = list(_geometry_error_messages())
-    assert len(sites) > 20
-    unmarked = [site for site, text in sites
-                if re.search(r"internal|impossible", text) and "(internal)" not in text]
+    # cli.main sends InternalError to exit 2 and any other GeometryError to
+    # exit 1, so a message naming an invariant must come with the type
+    sites = list(_raised_messages())
+    internal = [site for site, name, _ in sites if name == "InternalError"]
+    assert len(internal) > 20
+    mistyped = [site for site, name, text in sites
+                if (re.search(r"internal|impossible", text) or "(internal)" in text)
+                and name != "InternalError"]
+    assert mistyped == []
+    unmarked = [site for site, name, text in sites
+                if name == "InternalError" and "(internal)" not in text]
     assert unmarked == []
 
 

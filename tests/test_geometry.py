@@ -420,6 +420,18 @@ def test_hyperplane_zero_normal_rejected():
         Hyperplane.make((0, 0), 1)
 
 
+def test_hyperplane_projection_is_the_orthogonal_foot():
+    h = Hyperplane.make((F(2, 3), F(-4, 3), 0), F(2))  # x - 2y = 3
+    for x in [(0, 0, 5), (F(1, 2), F(-7, 3), 1), (3, 0, F(1, 9)), (-1, 1, 0)]:
+        x = as_vec(x)
+        p = h.project(x)
+        assert h.tight_at(p)
+        # the displacement is a multiple of the normal
+        assert rank([tuple(a - b for a, b in zip(p, x)), h.normal]) == 1
+    on_plane = as_vec((5, 1, 7))
+    assert h.project(on_plane) == on_plane
+
+
 def test_float_coordinates_rejected():
     with pytest.raises(GeometryError):
         geo.frac(0.5)

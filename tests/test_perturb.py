@@ -2,25 +2,21 @@ from fractions import Fraction as F
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from corpus import CORPUS_BY_NAME
 from extremenu import perturb
-from extremenu.exhaustive import minimal_exhaustive_subset
 from extremenu.extremality import is_extreme_finite
-from extremenu.geometry import as_vec, dot, nullspace_basis, primitive, rank, vsub
-from extremenu.model import extended_menu, validate_scenario
+from extremenu.geometry import as_vec, dot, nullspace_basis, rank, vadd, vsub
+from extremenu.model import Menu, extend_menu, extended_menu, validate_scenario
 from extremenu.perturb import (
     GeneralPositionReport,
     PerturbationError,
-    _avoids_spanned_hyperplanes,
-    _homogeneous,
-    _spanned_hyperplanes,
     hausdorff_bound,
     is_general_position,
     perturb_to_extreme,
 )
-from extremenu.presets import monopoly_cone, simplex_space, space_for_preset
+from extremenu.presets import monopoly_cone, monopoly_space, simplex_space, space_for_preset
 from extremenu.model import unrestricted_cone
 
 
@@ -120,18 +116,6 @@ def general_position_by_rank(pts):
     return GeneralPositionReport(True)
 
 
-def avoids_by_rank(x, current, d):
-    """The former test: x off every hyperplane spanned by d current points."""
-    for combo in combinations(range(len(current)), d):
-        base = current[combo[0]]
-        rows = [vsub(current[i], base) for i in combo[1:]]
-        if rank(rows) < d - 1:
-            continue
-        if rank(rows + [vsub(x, base)]) == d - 1:
-            return False
-    return True
-
-
 COORD = st.builds(F, st.integers(-8, 8), st.sampled_from([1, 2, 3, 4]))
 
 
@@ -161,32 +145,25 @@ def test_general_position_matches_rank_definition(pts):
 
 
 @settings(max_examples=200, deadline=None)
-@given(point_sets(), st.data())
-def test_spanned_hyperplanes_match_rank_definition(pts, data):
-    d = len(pts[0])
-    # built as the perturbation builds them: the first d points at once, then
-    # one accepted point at a time
-    hom = [_homogeneous(p) for p in pts[:d]]
-    planes = _spanned_hyperplanes(combinations(hom, d))
-    for p in pts[d:]:
-        hp = _homogeneous(p)
-        planes += _spanned_hyperplanes(c + (hp,) for c in combinations(hom, d - 1))
-        hom.append(hp)
-    for _ in range(4):
-        x = data.draw(st.one_of(st.tuples(*[COORD] * d), affine_combination(pts, d)))
-        assert _avoids_spanned_hyperplanes(_homogeneous(x), planes) == avoids_by_rank(x, pts, d)
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.integers(1, 3).flatmap(lambda m: st.tuples(st.just(m), st.lists(
-    st.tuples(*[COORD] * (m + 1)), min_size=2, max_size=6, unique=True))))
-def test_convex_position_matches_polar_definition(case):
-    # the former test: no difference v - w of two items lies in the polar cone
-    m, items = case
+@given(st.integers(1, 3).flatmap(lambda m: st.tuples(
+    st.just(m),
+    st.lists(st.tuples(*[COORD] * (m + 1)), min_size=1, max_size=5, unique=True),
+    st.lists(st.integers(0, 3), min_size=m + 1, max_size=m + 1),
+    st.integers(0, 4))))
+def test_pairwise_domination_loses_a_vertex(case):
+    # an item w + p, p != 0 in the polar cone, is the midpoint of w + p/2 and
+    # w + 3p/2 in M, so the vertex count alone rejects pairwise absorption
+    m, items, weights, which = case
     cone = monopoly_cone(m)
-    absorbed = any(i != j and all(dot(r, vsub(v, w)) <= 0 for r in cone.rays)
-                   for i, v in enumerate(items) for j, w in enumerate(items))
-    assert perturb._convex_position(items, cone) == (not absorbed)
+    p = tuple(sum(c * r[k] for c, r in zip(weights, cone.polar_rays)) for k in range(m + 1))
+    assume(any(p))
+    w = items[which % len(items)]
+    v = vadd(w, as_vec(p))
+    assume(v not in items)
+    assert all(dot(r, vsub(v, w)) <= 0 for r in cone.rays)
+    menu = Menu(items=tuple(as_vec(x) for x in items) + (v,))
+    em = extend_menu(menu, cone, monopoly_space(m))
+    assert len(em.vertices) < len(menu.items)
 
 
 # criterion-12 prisms 0 and 14 (test_acceptance._nonextreme_exhaustive_prism)
@@ -221,30 +198,22 @@ def test_perturbation_draws_are_pinned(name):
     assert res.menu == tuple(as_vec(p) for p in menu)
 
 
-def test_attempt_screens_against_every_spanned_hyperplane(monkeypatch):
-    # each candidate meets the planes spanned by d of the points placed so far:
-    # the core's, built once, plus those through each accepted point
-    items, seed, _, _ = PINNED["prism-0"]
+def test_general_position_is_checked_on_each_sampled_menu(monkeypatch):
+    # a rejected general-position check costs one attempt and no draws: the
+    # run then succeeds one retry later, with an exact general-position report
+    items, seed, retries, _ = PINNED["prism-0"]
     space, cone = space_for_preset("simplex", d=3)
     sc = validate_scenario(space, cone, items)
     calls = []
-    screen = perturb._avoids_spanned_hyperplanes
 
-    def spy(x, planes):
-        calls.append((x, list(planes), screen(x, planes)))
-        return calls[-1][2]
+    def fail_first(points):
+        calls.append(points)
+        return GeneralPositionReport(False) if len(calls) == 1 else is_general_position(points)
 
-    monkeypatch.setattr(perturb, "_avoids_spanned_hyperplanes", spy)
+    monkeypatch.setattr(perturb, "is_general_position", fail_first)
     res = perturb_to_extreme(sc.menu, space, cone, F(1, 20), seed=seed)
-    assert res.retries == 1  # every call belongs to the one attempt
-    core = minimal_exhaustive_subset(extended_menu(sc).vertices, space)
-    placed = [_homogeneous(res.menu[sc.menu.items.index(v)]) for v in core]
-
-    def unsigned(planes):
-        return {max(primitive(c), primitive([-a for a in c])) for c in planes}
-
-    for x, planes, accepted in calls:
-        assert unsigned(planes) == unsigned(_spanned_hyperplanes(combinations(placed, 3)))
-        if accepted:
-            placed.append(x)
-    assert len(placed) == len(res.menu)
+    assert res.retries == retries + 1 == len(calls)
+    assert res.general_position == is_general_position(res.menu) == GeneralPositionReport(True)
+    monkeypatch.setattr(perturb, "is_general_position", lambda points: GeneralPositionReport(False))
+    with pytest.raises(PerturbationError, match=r"within 64 retries .*: perturbed items not in general position$"):
+        perturb_to_extreme(sc.menu, space, cone, F(1, 20), seed=seed)
