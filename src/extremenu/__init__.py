@@ -7,7 +7,8 @@ and certified perturbations into extreme points when it is close. All
 arithmetic is exact rational.
 """
 
-from .geometry import Fraction, Hyperplane, Polyhedron, dual_description, faces, lp_solve, nullspace_basis, rank
+from .geometry import (Fraction, Hyperplane, Polyhedron, faces, lp_solve, nullspace_basis,
+                       polyhedron_from_generators, polyhedron_from_halfspaces, rank)
 from .model import (
     AllocationSpace,
     ExtendedMenu,

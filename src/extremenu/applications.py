@@ -448,7 +448,7 @@ def _exhaustive_binding(items, space: AllocationSpace, cone: TypeCone):
         return is_exhaustive(em, space).exhaustive, em.binding
     binding = frozenset().union(*map(space.facet_set, items))
     if len(items) == 1:  # a singleton is exhaustive exactly at a vertex of A
-        return geo.rank([space.facets[i].normal for i in binding]) == space.dim, binding
+        return items[0] in space.poly.points, binding
     return facet_conditions_hold(binding, space), binding
 
 

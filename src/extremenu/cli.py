@@ -81,6 +81,12 @@ def _reject_unknown(obj: dict, allowed, where: str):
             raise ScenarioError(f"unknown field {key!r} in {where}")
 
 
+def _require_list(value, what: str) -> list:
+    if not isinstance(value, list):
+        raise ScenarioError(f"{what} must be a list")
+    return value
+
+
 # ---------------------------------------------------------------------------
 # scenario files
 
@@ -90,13 +96,15 @@ def scenario_from_dict(data: dict) -> Scenario:
         raise ScenarioError("scenario file must hold a JSON object")
     _reject_unknown(data, {"label", "space", "cone", "menu", "veto", "objective"}, "scenario")
     label = data.get("label", "")
+    if not isinstance(label, str):
+        raise ScenarioError("'label' must be a string")
     if "space" not in data or "menu" not in data:
         raise ScenarioError("scenario needs 'space' and 'menu'")
     veto = parse_vec(data["veto"]) if "veto" in data else None
     space, default_cone = _parse_space(data["space"], veto)
     cone = _parse_cone(data.get("cone", default_cone), space.dim)
     objective = _parse_objective(data.get("objective"))
-    menu = [parse_vec(p) for p in data["menu"]]
+    menu = [parse_vec(p) for p in _require_list(data["menu"], "'menu'")]
     return validate_scenario(space, cone, menu, objective, label=label)
 
 
@@ -126,7 +134,7 @@ def _parse_space(spec, veto):
     if "halfspaces" in spec:
         _reject_unknown(spec, {"halfspaces"}, "space")
         hs = []
-        for i, h in enumerate(spec["halfspaces"]):
+        for i, h in enumerate(_require_list(spec["halfspaces"], "'halfspaces'")):
             if not isinstance(h, dict):
                 raise ScenarioError("each halfspace must be an object")
             _reject_unknown(h, {"normal", "offset"}, f"halfspace {i}")
@@ -164,7 +172,9 @@ def _parse_objective(spec):
     if "table" in spec:
         _reject_unknown(spec, {"table"}, "objective")
         rows = []
-        for row in spec["table"]:
+        for row in _require_list(spec["table"], "objective 'table'"):
+            if not isinstance(row, dict) or "theta" not in row or "v" not in row:
+                raise ScenarioError("each objective table row must be an object with 'theta' and 'v'")
             _reject_unknown(row, {"theta", "v"}, "objective table row")
             rows.append((parse_vec(row["theta"]), parse_vec(row["v"])))
         return TabulatedObjective(table=tuple(rows))
@@ -229,7 +239,8 @@ def _extended_block(scenario, em) -> dict:
         "vertices": [fmt_vec(v) for v in em.vertices],
         "bounded_edges": [[i, j] for (i, j) in em.edges],
         "binding_facets": [
-            geo_render(scenario.space.facets[i]) for i in sorted(em.binding)
+            render_linear(h.normal, h.offset)
+            for h in (scenario.space.facets[i] for i in sorted(em.binding))
         ],
         "absorbed_items": [
             {
@@ -240,10 +251,6 @@ def _extended_block(scenario, em) -> dict:
             for a in em.absorbed
         ],
     }
-
-
-def geo_render(h: Hyperplane) -> str:
-    return render_linear(h.normal, h.offset)
 
 
 def _exhaustiveness_block(em, space) -> dict:

@@ -36,10 +36,9 @@ def is_exhaustive(em: ExtendedMenu, space: AllocationSpace) -> ExhaustivenessRep
     d = space.dim
     if len(em.vertices) == 1:
         v = em.vertices[0]
-        tight = [space.facets[i].normal for i in space.facet_set(v)]
-        if rank(tight) == d:
+        if v in space.poly.points:
             return ExhaustivenessReport(True, "singleton-at-vertex", binding=binding)
-        t = _translation_witness(tight, d)
+        t = _translation_witness([space.facets[i].normal for i in space.facet_set(v)], d)
         _check_translation(t, em, space)
         return ExhaustivenessReport(False, "failure", witness_translation=t, binding=binding)
 
@@ -112,7 +111,7 @@ def minimal_exhaustive_subset(vertices, space: AllocationSpace, must_include=Non
     facet_sets = [space.facet_set(v) for v in vertices]
 
     if len(vertices) == 1:
-        if rank([space.facets[i].normal for i in facet_sets[0]]) == d:
+        if vertices[0] in space.poly.points:
             return tuple(vertices)
         raise geo.GeometryError("minimal_exhaustive_subset: input is not exhaustive")
 

@@ -335,11 +335,6 @@ def is_deformation(em: ExtendedMenu, other: ExtendedMenu) -> bool:
     return rebuilt.points == other.poly.points and rebuilt.rays == other.poly.rays
 
 
-def decomposition_summand_menus(cert: DecompositionCertificate):
-    """The two summand menus as Menu objects (deduplicated item tuples)."""
-    return Menu(items=cert.menu_plus), Menu(items=cert.menu_minus)
-
-
 def summand_extended_menus(cert, cone: TypeCone, space: AllocationSpace):
-    mp, mm = decomposition_summand_menus(cert)
-    return extend_menu(mp, cone, space), extend_menu(mm, cone, space)
+    return (extend_menu(Menu(items=cert.menu_plus), cone, space),
+            extend_menu(Menu(items=cert.menu_minus), cone, space))

@@ -6,8 +6,9 @@ integer elimination, incidence by cross-multiplying an integer numerator and
 denominator of normal . x with the offset. V -> H takes no rank and no
 incidence test: the double description's zero sets give each generator's
 tight halfspaces, and minimal generators are those whose tight set no other
-generator's contains. Edges come from the combinatorial adjacency test on
-incidence sets, and a point's decomposition into generators from
+generator's contains. ``faces`` returns the edges only, from the
+combinatorial adjacency test on incidence sets; no caller needs a face of
+another dimension. A point's decomposition into generators comes from
 Carathéodory ray shooting on the face lattice. The one LP, in
 standard form max c.x s.t. a_ub x <= b_ub, a_eq x = b_eq, x >= 0 stated as
 plain rows, serves only the monopoly forward-segment test. Floating point
@@ -164,21 +165,6 @@ def solve_affine(matrix, rhs):
     return tuple(x)
 
 
-def affine_rank(points, rays=()) -> int:
-    """Dimension of aff(points) + span(rays); -1 for the empty set."""
-    points = list(points)
-    rays = list(rays)
-    if not points and not rays:
-        return -1
-    dirs = list(rays)
-    if points:
-        p0 = points[0]
-        dirs.extend(vsub(p, p0) for p in points[1:])
-    if not dirs:
-        return 0
-    return rank(dirs)
-
-
 # ---------------------------------------------------------------------------
 # hyperplanes
 
@@ -254,12 +240,6 @@ class Hyperplane:
     def same_hyperplane(self, other: "Hyperplane") -> bool:
         """Equality as point sets (orientation ignored)."""
         return self.key() == other.key() or self.key() == other.flipped().key()
-
-
-@dataclass(frozen=True)
-class GeneratorSet:
-    points: tuple  # tuple[Vec, ...]
-    rays: tuple  # tuple[Vec, ...] primitive integer directions
 
 
 # ---------------------------------------------------------------------------
@@ -405,10 +385,6 @@ class Polyhedron:
     dim: int
     is_empty: bool = False
 
-    @property
-    def generators(self) -> GeneratorSet:
-        return GeneratorSet(self.points, self.rays)
-
     def contains(self, x) -> bool:
         return all(h.contains(x) for h in self.halfspaces)
 
@@ -537,23 +513,6 @@ def polyhedron_from_halfspaces(halfspaces, ambient_dim=None) -> Polyhedron:
     return _assemble(sorted(pts), sorted(recession), d)
 
 
-def dual_description(arg, ambient_dim=None) -> Polyhedron:
-    """Complete irredundant dual description from either description.
-
-    Accepts a GeneratorSet (or (points, rays) pair) or a list of Hyperplanes.
-    """
-    if isinstance(arg, GeneratorSet):
-        return polyhedron_from_generators(arg.points, arg.rays)
-    if isinstance(arg, tuple) and len(arg) == 2:
-        return polyhedron_from_generators(arg[0], arg[1])
-    arg = list(arg)
-    if not arg:
-        raise GeometryError("empty input to dual_description")
-    if isinstance(arg[0], Hyperplane):
-        return polyhedron_from_halfspaces(arg, ambient_dim)
-    return polyhedron_from_generators(arg)
-
-
 def _assemble(pts, rys, d) -> Polyhedron:
     """Canonical Polyhedron from deduplicated generators (V -> H -> filter)."""
     # Valid inequalities y = (-c, n) of conv(pts)+cone(rys) form the polar cone
@@ -624,78 +583,28 @@ def _check_polyhedron(poly, original_pts, original_rys):
 
 
 # ---------------------------------------------------------------------------
-# faces
+# edges
 
 
 @dataclass(frozen=True)
 class Face:
     generator_indices: tuple
-    halfspace_indices: tuple
-    dim: int
     bounded: bool
 
 
-def faces(poly: Polyhedron, k: int):
-    """All k-dimensional faces, each with its generators and tight halfspaces.
+def faces(poly: Polyhedron):
+    """The 1-faces (edges), as generator index pairs i < j with i a vertex.
 
-    Faces are identified by their generator sets; the whole polyhedron is
-    included when k == poly.dim. For k = 1 the bounded flag distinguishes
-    edges from unbounded edges, found by the combinatorial adjacency test
-    (Fukuda & Prodon 1996, *Double description method revisited*): generators
-    i < j, at least one a vertex, span an edge iff no other generator is tight
-    on every halfspace tight at both. Other k close the generator tight sets
-    under intersection and take each candidate's affine rank.
+    The combinatorial adjacency test (Fukuda & Prodon 1996, *Double
+    description method revisited*): generators i < j, at least one a vertex,
+    span an edge iff no other generator is tight on every halfspace tight at
+    both. An edge is bounded when j is a vertex too, else it is the ray j
+    leaving vertex i.
     """
-    if k > poly.ambient_dim or k < 0:
-        raise GeometryError(f"face dimension {k} out of range for ambient {poly.ambient_dim}")
-    if poly.is_empty:
-        return []
+    inc = poly.incidence
     n_pts = len(poly.points)
-    if k == 1:
-        inc = poly.incidence
-        out = []
-        for i in range(n_pts):
-            for j in range(i + 1, len(inc)):
-                if _adjacent(inc, i, j):
-                    out.append(Face(generator_indices=(i, j),
-                                    halfspace_indices=tuple(sorted(inc[i] & inc[j])),
-                                    dim=1, bounded=j < n_pts))
-        return out
-    active_sets = set(poly.incidence)
-    # close under intersection: every face's tight set is an intersection of
-    # generator tight sets
-    frontier = set(active_sets)
-    while frontier:
-        new = set()
-        for a in frontier:
-            for b in active_sets:
-                c = a & b
-                if c not in active_sets and c not in new:
-                    new.add(c)
-        active_sets |= new
-        frontier = new
-    seen_gen_sets = {}
-    for act in active_sets:
-        gens = tuple(i for i, inc in enumerate(poly.incidence) if act <= inc)
-        if not gens:
-            continue
-        if gens in seen_gen_sets:
-            continue
-        gpts = [poly.points[i] for i in gens if i < n_pts]
-        grys = [poly.rays[i - n_pts] for i in gens if i >= n_pts]
-        if not gpts:
-            continue  # a pointed face always has a vertex
-        fdim = affine_rank(gpts, grys)
-        canonical_act = frozenset.intersection(*[poly.incidence[i] for i in gens])
-        seen_gen_sets[gens] = Face(
-            generator_indices=gens,
-            halfspace_indices=tuple(sorted(canonical_act)),
-            dim=fdim,
-            bounded=not grys,
-        )
-    out = [f for f in seen_gen_sets.values() if f.dim == k]
-    out.sort(key=lambda f: f.generator_indices)
-    return out
+    return [Face(generator_indices=(i, j), bounded=j < n_pts)
+            for i in range(n_pts) for j in range(i + 1, len(inc)) if _adjacent(inc, i, j)]
 
 
 # ---------------------------------------------------------------------------

@@ -330,7 +330,7 @@ def extend_menu(menu: Menu, cone: TypeCone, space: AllocationSpace) -> ExtendedM
     poly = geo.polyhedron_from_generators(menu.items, cone.polar_rays)
     vertices = poly.points
     edges = []
-    for f in geo.faces(poly, 1):
+    for f in geo.faces(poly):
         if f.bounded:
             i, j = f.generator_indices
             edges.append((i, j))

@@ -185,7 +185,7 @@ def _attempt(menu, space, delta, core, rng, d):
             cand = h.project(vadd(victim, step))
             if not space.contains(cand):
                 continue
-            if _off_affine_hull(cand, others) and _within(cand, victim, delta):
+            if _off_affine_hull(cand, others):
                 core_new[victim] = cand
                 break
         else:
@@ -221,11 +221,6 @@ def _off_affine_hull(x, others):
     base = others[0]
     rows = [vsub(p, base) for p in others[1:]]
     return rank(rows + [vsub(x, base)]) > rank(rows)
-
-
-def _within(cand, origin, delta):
-    diff = vsub(cand, origin)
-    return dot(diff, diff) <= delta * delta
 
 
 def hausdorff_bound(menu_a, menu_b) -> Fraction:

@@ -1,17 +1,18 @@
 """Complete d=2 classification via the boundary partition and flexible chains.
 
-Vertices of the extended menu are ordered clockwise (with a sentinel at both
-ends when the type cone is restricted and the menu is unbounded) and split
-into four classes: corners of A, interior points, and boundary points with or
-without a co-edge neighbour. A menu of three or more vertices fails to be an
-extreme point exactly when this ordering contains a flexible chain; for the
-all-boundary cycle case the test is the exact equality of squared-sine
-products, which is rational and avoids irrational norms.
+Vertices of the extended menu are ordered clockwise by walking its edges
+(with a sentinel at both ends when the type cone is restricted and the menu
+is unbounded) and split into four classes: corners of A, interior points, and
+boundary points with or without a co-edge neighbour. A menu of three or more
+vertices fails to be an extreme point exactly when this ordering contains a
+flexible chain; for the all-boundary cycle case the test is the exact
+equality of squared-sine products, which is rational and avoids irrational
+norms. A facet's two corners are ordered clockwise by the side of the step
+between them on which its outward normal points, so A is never ordered.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -65,44 +66,27 @@ def _cross(u, v):
     return u[0] * v[1] - u[1] * v[0]
 
 
-def _clockwise_cycle(points):
-    """Indices of the points (convex position) in clockwise order, starting at
-    the lexicographically smallest point."""
-    n = len(points)
-    idx = list(range(n))
-    c0 = min(points)
-    # angular sort around the centroid, then fix chirality by the signed area
-    cx = sum(p[0] for p in points) / n
-    cy = sum(p[1] for p in points) / n
-
-    def half(i):
-        dx, dy = points[i][0] - cx, points[i][1] - cy
-        return 0 if (dy > 0 or (dy == 0 and dx > 0)) else 1
-
-    def compare(i, j):
-        hi, hj = half(i), half(j)
-        if hi != hj:
-            return -1 if hi < hj else 1
-        c = _cross(vsub(points[i], (cx, cy)), vsub(points[j], (cx, cy)))
-        if c > 0:
-            return -1
-        if c < 0:
-            return 1
-        return 0
-
-    idx.sort(key=functools.cmp_to_key(compare))
-    area2 = Fraction(0)
-    for k in range(n):
-        area2 += _cross(points[idx[k]], points[idx[(k + 1) % n]])
-    if area2 > 0:  # counterclockwise; flip
-        idx.reverse()
-    s = idx.index(points.index(c0))
-    return idx[s:] + idx[:s]
+def _walk(adj, start, first, n):
+    """The n vertices met walking the edge graph from start through first."""
+    path = [start, first]
+    while len(path) < n:
+        step = [x for x in adj[path[-1]] if x != path[-2]]
+        if not step:
+            raise geo.InternalError("planar path traversal failed (internal)")
+        path.append(step[0])
+    return path
 
 
 def _order_vertices(em: ExtendedMenu):
-    """Clockwise vertex order; (order, sentinels)."""
-    n = len(em.vertices)
+    """Clockwise vertex order read off M's edges; (order, sentinels).
+
+    A bounded M is walked from vertex 0, the lexicographically smallest,
+    towards the neighbour that turns clockwise. An unbounded M's bounded edges
+    form a path whose ends carry the unbounded edges; it is walked from the
+    end where the incoming ray turns clockwise into the first step.
+    """
+    vs = em.vertices
+    n = len(vs)
     sentinels = bool(em.poly.rays)
     if n == 1:
         return [0], sentinels
@@ -111,50 +95,29 @@ def _order_vertices(em: ExtendedMenu):
         adj[i].append(j)
         adj[j].append(i)
     if not sentinels:
-        if n == 2:
-            order = sorted(range(n), key=lambda i: em.vertices[i])
-            return order, False
-        return _clockwise_cycle(list(em.vertices)), False
-    # unbounded: bounded edges form a path; ends carry the unbounded edges
+        first, *other = adj[0]
+        if other and _cross(vsub(vs[first], vs[0]), vsub(vs[other[0]], vs[0])) > 0:
+            first = other[0]
+        return _walk(adj, 0, first, n), False
     ends = [i for i in range(n) if len(adj[i]) == 1]
-    if n == 2 and not em.edges:
-        ends = [0, 1]
     if len(ends) != 2:
         raise geo.InternalError("planar path structure violated (internal)")
     end_ray = {}
-    for f in geo.faces(em.poly, 1):
+    for f in geo.faces(em.poly):
         if not f.bounded:
-            vi = [g for g in f.generator_indices if g < n]
-            ri = [g - n for g in f.generator_indices if g >= n]
-            if len(vi) == 1 and len(ri) == 1:
-                end_ray.setdefault(vi[0], []).append(em.poly.rays[ri[0]])
-    order = None
-    for start in sorted(ends):
-        path = [start]
-        prev = None
-        cur = start
-        while len(path) < n:
-            nxt = [x for x in adj[cur] if x != prev]
-            if not nxt:
-                break
-            prev, cur = cur, nxt[0]
-            path.append(cur)
-        if len(path) != n:
-            raise geo.InternalError("planar path traversal failed (internal)")
-        rs = end_ray.get(start, [])
-        if not rs:
+            i, j = f.generator_indices
+            end_ray.setdefault(i, em.poly.rays[j - n])
+    for start in ends:
+        if start not in end_ray:
             raise geo.InternalError("path end without unbounded edge (internal)")
-        incoming = tuple(-Fraction(x) for x in rs[0])
-        step = vsub(em.vertices[path[1]], em.vertices[path[0]])
-        c = _cross(incoming, step)
+        path = _walk(adj, start, adj[start][0], n)
+        incoming = tuple(-x for x in end_ray[start])
+        c = _cross(incoming, vsub(vs[path[1]], vs[path[0]]))
         if c < 0:
-            order = path
-            break
+            return path, True
         if c == 0:
             raise geo.InternalError("unbounded edge collinear with first step (internal)")
-    if order is None:
-        raise geo.InternalError("could not orient planar path clockwise (internal)")
-    return order, True
+    raise geo.InternalError("could not orient planar path clockwise (internal)")
 
 
 def partition_boundary(em: ExtendedMenu, space: AllocationSpace) -> BoundaryPartition:
@@ -266,8 +229,6 @@ def _endpoint_chain(seq, ok_end, not_corner, em, space):
 
 def _sine_sq_products(order, em: ExtendedMenu, space: AllocationSpace):
     """Exact squared-sine products for the all-B1 cycle angle condition."""
-    a_cycle = _clockwise_cycle(list(space.poly.points))
-    a_pts = space.poly.points
     n = len(order)
     prod_a = Fraction(1)
     prod_b = Fraction(1)
@@ -279,22 +240,21 @@ def _sine_sq_products(order, em: ExtendedMenu, space: AllocationSpace):
         fset = em.facet_incidence[v_idx]
         if len(fset) != 1:
             raise geo.InternalError("B1 vertex with multiple facets (internal)")
-        f = next(iter(fset))
-        ends = [i for i in a_cycle if space.facets[f].tight_at(a_pts[i])]
-        if len(ends) != 2:
-            raise geo.InternalError("planar facet without two corners (internal)")
-        # a precedes b on A's clockwise boundary
-        i0 = a_cycle.index(ends[0])
-        i1 = a_cycle.index(ends[1])
-        if (i0 + 1) % len(a_cycle) == i1:
-            a_pt, b_pt = a_pts[ends[0]], a_pts[ends[1]]
-        elif (i1 + 1) % len(a_cycle) == i0:
-            a_pt, b_pt = a_pts[ends[1]], a_pts[ends[0]]
-        else:
-            raise geo.InternalError("facet corners not adjacent on A (internal)")
+        a_pt, b_pt = _facet_corners(space, next(iter(fset)))
         prod_a *= _sin_sq(vsub(u, v), vsub(a_pt, v))
         prod_b *= _sin_sq(vsub(w, v), vsub(b_pt, v))
     return prod_a, prod_b
+
+
+def _facet_corners(space: AllocationSpace, f):
+    """The two corners of A on facet f in clockwise order: walking clockwise,
+    the outward normal points left of the step from the first to the second."""
+    h = space.facets[f]
+    ends = [p for p in space.poly.points if h.tight_at(p)]
+    if len(ends) != 2:
+        raise geo.InternalError("planar facet without two corners (internal)")
+    a, b = ends
+    return (b, a) if _cross(h.normal, vsub(b, a)) > 0 else (a, b)
 
 
 def _sin_sq(u, v) -> Fraction:

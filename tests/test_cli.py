@@ -1,14 +1,18 @@
 import ast
 import json
 import pathlib
+import random
 import re
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from extremenu import cli
-from extremenu.model import ScenarioError
+from extremenu.geometry import GeometryError, InternalError
+from extremenu.model import ScenarioError, unrestricted_cone
+from extremenu.presets import monopoly_cone
 
 
 def write_scenario(tmp_path, data, name="scenario.json"):
@@ -292,6 +296,119 @@ def test_unreadable_scenario_is_input_error(tmp_path, capsys):
         assert cli.main(["analyze", path]) == 1
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and err.startswith("error: "), err
+
+
+SIMPLEX2 = {"preset": "simplex", "d": 2}
+
+
+@pytest.mark.parametrize("data, message", [
+    (dict(POSTED, objective={"table": [{"theta": ["1", "0"]}]}),
+     "each objective table row must be an object with 'theta' and 'v'"),
+    (dict(POSTED, objective={"table": [[1]]}),
+     "each objective table row must be an object with 'theta' and 'v'"),
+    (dict(POSTED, objective={"table": 5}), "objective 'table' must be a list"),
+    ({"space": SIMPLEX2, "menu": 5}, "'menu' must be a list"),
+    ({"space": {"halfspaces": 5}, "menu": [[0, 0]]}, "'halfspaces' must be a list"),
+    (dict(POSTED, label=["a"]), "'label' must be a string"),
+], ids=["table-row-without-v", "table-row-not-object", "table-not-list", "menu-not-list",
+        "halfspaces-not-list", "label-not-string"])
+def test_malformed_container_is_one_line_diagnostic(tmp_path, capsys, data, message):
+    assert cli.main(["analyze", write_scenario(tmp_path, data)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: {message}\n"
+
+
+# -- fuzzed parsers: JSON-shaped input raises only input errors --------------
+
+KEYS = ["label", "space", "cone", "menu", "veto", "objective", "preset", "d", "m", "kappa",
+        "halfspaces", "normal", "offset", "rays", "constant", "table", "theta", "v", "weight",
+        "extra"]
+# integers stay small: a preset's size grows like 2^d, which is not the point here
+SCALARS = st.one_of(st.none(), st.booleans(), st.integers(-3, 6),
+                    st.sampled_from(["0", "1", "-1", "1/2", "-1/3", "1/0", "x", "simplex", "cube",
+                                     "monopoly", "unrestricted"]))
+JSON = st.recursive(SCALARS, lambda inner: st.one_of(
+    st.lists(inner, max_size=4), st.dictionaries(st.sampled_from(KEYS), inner, max_size=4)),
+    max_leaves=12)
+COORD = st.one_of(st.integers(0, 1), st.sampled_from(["1/4", "1/2", "-1/3"]))
+
+
+def _slots(value, prefix=()):
+    """Paths to every object member and to every container in a list."""
+    is_object = isinstance(value, dict)
+    for key, child in value.items() if is_object else enumerate(value):
+        if is_object or isinstance(child, (dict, list)):
+            yield prefix + (key,)
+        if isinstance(child, (dict, list)):
+            yield from _slots(child, prefix + (key,))
+
+
+@st.composite
+def scenario_shaped(draw):
+    """A well-formed scenario object with up to two slots, each in a member
+    drawn first, replaced by any JSON value or deleted."""
+    d = draw(st.integers(2, 3))
+    vec = st.lists(COORD, min_size=d, max_size=d)
+    units = [[s * int(i == j) for j in range(d)] for i in range(d) for s in (1, -1)]
+    box = [{"normal": u, "offset": int(sum(u) > 0)} for u in units]
+    data = {
+        "space": draw(st.sampled_from([{"preset": "simplex", "d": d}, {"preset": "cube", "d": d},
+                                       {"preset": "monopoly", "d": d},
+                                       {"preset": "monopoly", "m": d - 1, "kappa": "1/2"},
+                                       {"halfspaces": box}])),
+        "menu": [[0] * d] + draw(st.lists(vec, max_size=3)),
+        "cone": draw(st.one_of(
+            st.sampled_from(["unrestricted", "monopoly"]),
+            st.builds(lambda extra: {"rays": units + extra}, st.lists(vec, max_size=1)))),
+        "veto": [0] * d,
+        "objective": draw(st.one_of(st.fixed_dictionaries({"constant": vec}), st.fixed_dictionaries(
+            {"table": st.lists(st.fixed_dictionaries({"theta": vec, "v": vec}), min_size=1, max_size=2)}))),
+        "label": draw(st.text(max_size=3)),
+    }
+    # choices seeded by the drawn object: hypothesis's own draws of them
+    # would favour a few members
+    rnd = random.Random(repr(data))
+    for _ in range(rnd.choice([0, 1, 1, 2])):
+        member = rnd.choice(sorted(data))
+        inner = _slots(data[member]) if isinstance(data[member], (dict, list)) else ()
+        path = rnd.choice([(member,)] + [(member,) + p for p in inner])
+        parent = data
+        for key in path[:-1]:
+            parent = parent[key]
+        if isinstance(parent, dict) and rnd.random() < 0.5:
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = draw(JSON)
+    return data
+
+
+def input_errors_only(call):
+    """Run call; an escaping error must be one that cli.main answers with exit 1."""
+    try:
+        call()
+    except InternalError:
+        raise
+    except (ScenarioError, GeometryError):
+        pass
+
+
+@given(st.one_of(scenario_shaped(), JSON))
+@settings(max_examples=400, deadline=None)
+def test_scenario_parser_raises_only_input_errors(data):
+    input_errors_only(lambda: cli.scenario_from_dict(data))
+
+
+SAMPLE_CONES = (unrestricted_cone(2), monopoly_cone(1))
+
+
+@given(st.one_of(st.lists(st.one_of(st.fixed_dictionaries(
+    {"theta": st.lists(st.one_of(COORD, SCALARS), min_size=2, max_size=2), "weight": COORD}),
+    JSON), max_size=4), JSON), st.sampled_from(SAMPLE_CONES))
+@settings(max_examples=100, deadline=None)
+def test_sample_parser_raises_only_input_errors(tmp_path_factory, data, cone):
+    path = tmp_path_factory.mktemp("sample") / "sample.json"
+    path.write_text(json.dumps(data))
+    input_errors_only(lambda: cli.parse_sample(str(path), cone))
 
 
 def test_plotdata_export(tmp_path):

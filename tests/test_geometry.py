@@ -13,11 +13,9 @@ from extremenu.geometry import (
     Face,
     GeometryError,
     Hyperplane,
-    affine_rank,
     as_vec,
     caratheodory_decomposition,
     dot,
-    dual_description,
     faces,
     lp_solve,
     nullspace_basis,
@@ -94,7 +92,7 @@ def test_solve_affine_particular():
 
 
 def test_square_halfspaces_to_vertices():
-    poly = dual_description(SQUARE_HS)
+    poly = polyhedron_from_halfspaces(SQUARE_HS)
     assert len(poly.points) == 4
     assert set(poly.points) == {
         (F(0), F(0)), (F(0), F(1)), (F(1), F(0)), (F(1), F(1))
@@ -132,7 +130,7 @@ def test_halfspace_input_with_line_rejected():
 
 
 def test_incidence_certifies_vertices():
-    poly = dual_description(SQUARE_HS)
+    poly = polyhedron_from_halfspaces(SQUARE_HS)
     d = poly.ambient_dim
     for i, p in enumerate(poly.points):
         normals = [poly.halfspaces[j].normal for j in poly.incidence[i]]
@@ -158,26 +156,19 @@ def test_duplicate_points_are_deduplicated():
 
 
 def test_square_faces():
-    poly = dual_description(SQUARE_HS)
-    assert len(faces(poly, 0)) == 4
-    edges = faces(poly, 1)
-    assert len(edges) == 4
+    poly = polyhedron_from_halfspaces(SQUARE_HS)
+    edges = faces(poly)
+    assert [f.generator_indices for f in edges] == [(0, 1), (0, 2), (1, 3), (2, 3)]
     assert all(f.bounded for f in edges)
 
 
 def test_monopoly_menu_edges():
     poly = polyhedron_from_generators([(0, 0), (1, F(1, 2))], [(-1, 0), (1, 1)])
-    one_faces = faces(poly, 1)
+    one_faces = faces(poly)
     bounded = [f for f in one_faces if f.bounded]
     unbounded = [f for f in one_faces if not f.bounded]
     assert len(bounded) == 1 and len(unbounded) == 2
     assert bounded[0].generator_indices == (0, 1)
-
-
-def test_faces_dim_out_of_range():
-    poly = dual_description(SQUARE_HS)
-    with pytest.raises(GeometryError):
-        faces(poly, 3)
 
 
 # -- round trip property -------------------------------------------------
@@ -477,9 +468,14 @@ def test_incidence_tests_reject_dimension_mismatch():
 # -- edges: adjacency test against the rank definition -------------------
 
 
-def closure_faces(poly, k):
-    """Reference faces: close the generator tight sets under pairwise
-    intersection and rank every candidate face."""
+def span_dim(points, rays=()):
+    """Dimension of aff(points) + span(rays), by rank on the difference vectors."""
+    return rank([geo.vsub(p, points[0]) for p in points[1:]] + list(rays))
+
+
+def closure_edges(poly):
+    """Reference edges: close the generator tight sets under pairwise
+    intersection and keep the candidate faces of dimension 1."""
     sets = set(poly.incidence)
     frontier = set(sets)
     while frontier:
@@ -491,9 +487,8 @@ def closure_faces(poly, k):
         gens = tuple(i for i, z in enumerate(poly.incidence) if act <= z)
         pts = [poly.points[i] for i in gens if i < n]
         rys = [poly.rays[i - n] for i in gens if i >= n]
-        if pts and affine_rank(pts, rys) == k:
-            common = frozenset.intersection(*[poly.incidence[i] for i in gens])
-            found[gens] = Face(gens, tuple(sorted(common)), k, not rys)
+        if pts and span_dim(pts, rys) == 1:
+            found[gens] = Face(gens, not rys)
     return sorted(found.values(), key=lambda f: f.generator_indices)
 
 
@@ -515,8 +510,8 @@ def edges_by_rank_definition(poly):
                 continue
             pts = [poly.points[g] for g in (i, j) if g < n]
             rys = [poly.rays[g - n] for g in (i, j) if g >= n]
-            if affine_rank(pts, rys) == 1:
-                out.append(Face((i, j), tuple(sorted(common)), 1, not rys))
+            if span_dim(pts, rys) == 1:
+                out.append(Face((i, j), not rys))
     return out
 
 
@@ -560,26 +555,25 @@ def generator_sets(draw):
 def test_edges_match_rank_definition(gens):
     pts, rays = gens
     poly = polyhedron_from_generators(pts, rays)
-    edges = faces(poly, 1)
+    edges = faces(poly)
     assert edges == edges_by_rank_definition(poly)
-    assert edges == closure_faces(poly, 1)
+    assert edges == closure_edges(poly)
 
 
 def test_lower_dimensional_edges():
     # a segment in R^3 has one edge; a square in a plane of R^4 has four
     seg = polyhedron_from_generators([(0, 0, 0), (1, 2, 3), (2, 4, 6)])
-    assert [f.generator_indices for f in faces(seg, 1)] == [(0, 1)]
+    assert [f.generator_indices for f in faces(seg)] == [(0, 1)]
     square = polyhedron_from_generators([(0, 0, 0, 0), (1, 0, 1, 0), (0, 1, 0, 1), (1, 1, 1, 1)])
     assert square.dim == 2
-    assert [f.generator_indices for f in faces(square, 1)] == [(0, 1), (0, 2), (1, 3), (2, 3)]
-    assert faces(square, 1) == edges_by_rank_definition(square)
+    assert [f.generator_indices for f in faces(square)] == [(0, 1), (0, 2), (1, 3), (2, 3)]
+    assert faces(square) == edges_by_rank_definition(square)
 
 
 def test_faces_match_closure_on_corpus():
     for case in CORPUS:
         for poly in (case.scenario.space.poly, extended_menu(case.scenario).poly):
-            for k in range(poly.ambient_dim + 1):
-                assert faces(poly, k) == closure_faces(poly, k), (case.name, k)
+            assert faces(poly) == closure_edges(poly), case.name
 
 
 # -- V -> H minimal generators against the rank definitions ----------------
@@ -599,7 +593,7 @@ def test_minimal_generators_match_rank_definition(gens):
                      if rank([h.normal for h in hs if dot(h.normal, r) == 0]) == d - 1)
     assert poly.points == tuple(vertices)
     assert poly.rays == tuple(extreme)
-    assert poly.dim == affine_rank(poly.points, poly.rays)
+    assert poly.dim == span_dim(poly.points, poly.rays)
 
 
 @st.composite

@@ -8,6 +8,8 @@ a function or class body is an error too.
 """
 
 import ast
+import importlib
+import importlib.util
 from pathlib import Path
 
 import pytest
@@ -76,3 +78,15 @@ def test_checker_flags_a_nested_import():
                          ids=lambda p: p.name)
 def test_no_imports_inside_functions(path):
     assert nested_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_every_traced_name_resolves():
+    # perfbench's tracer rebinds these functions by name; a deleted or
+    # renamed one would break every traced benchmark run
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    missing = [f"{mod}.{fn}" for mod, fns in tracer.TRACED.items() for fn in fns
+               if not callable(getattr(importlib.import_module(f"extremenu.{mod}"), fn, None))]
+    assert missing == []

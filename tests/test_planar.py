@@ -1,17 +1,23 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from corpus import CORPUS, CORPUS_BY_NAME
 from extremenu import planar
 from extremenu.extremality import is_extreme_finite
+from extremenu.geometry import faces, vadd, vsub
 from extremenu.model import (
+    Menu,
     allocation_space_from_points,
+    extend_menu,
     extended_menu,
+    make_type_cone,
     unrestricted_cone,
     validate_scenario,
 )
 from extremenu.planar import SENTINEL, classify_2d, find_flexible_chain, partition_boundary
+from extremenu.presets import cube_space, monopoly_cone
 
 
 def em_of(name):
@@ -180,3 +186,62 @@ def test_halfplane_and_narrow_cone_agreement():
             assert def_polytope_cross_check(em, space) == alg
             if len(em.vertices) >= 2:
                 assert homothety_cross_check(em, space) == is_exhaustive(em, space).exhaustive
+
+
+# -- clockwise order read off the edge graph ------------------------------------
+
+ORDER_SPACES = {
+    "square": cube_space(2),
+    "pentagon": allocation_space_from_points([(-1, 0), (4, F(1, 2)), (3, 4), (-1, 3), (-2, 1)]),
+    "skew": allocation_space_from_points([(0, 0), (5, 1), (4, 4), (-1, 3)]),
+}
+# unrestricted, the monopoly cone, a wedge and a halfplane of types
+ORDER_CONES = (unrestricted_cone(2), monopoly_cone(1), make_type_cone([(1, 0), (1, 1)]),
+               make_type_cone([(1, 0), (-1, 0), (0, -1)]))
+ORDER_GRIDS = {
+    name: [p for p in ((F(i, 4), F(j, 4)) for i in range(-8, 21) for j in range(0, 17))
+           if space.contains(p)]
+    for name, space in ORDER_SPACES.items()
+}
+
+
+def turn(a, b, c):
+    """Cross product of the steps a -> b and b -> c; negative turns clockwise."""
+    u, v = vsub(b, a), vsub(c, b)
+    return u[0] * v[1] - u[1] * v[0]
+
+
+@given(st.sampled_from(sorted(ORDER_SPACES)), st.sampled_from(ORDER_CONES), st.data())
+@settings(max_examples=150, deadline=None)
+def test_order_vertices_walks_clockwise(name, cone, data):
+    space = ORDER_SPACES[name]
+    items = data.draw(st.lists(st.sampled_from(ORDER_GRIDS[name]), min_size=1, max_size=7,
+                               unique=True))
+    em = extend_menu(Menu(items=tuple(items)), cone, space)
+    vs = em.vertices
+    order, sentinels = planar._order_vertices(em)
+    assert sorted(order) == list(range(len(vs)))
+    assert sentinels == bool(em.poly.rays)
+    walk = [vs[i] for i in order]
+    if not sentinels:
+        assert order[0] == 0  # the lexicographically smallest vertex
+        triples = zip(walk, walk[1:] + walk[:1], walk[2:] + walk[:2]) if len(walk) > 2 else ()
+    elif len(walk) > 1:
+        # the path comes in along the start's unbounded edge, goes out along the end's
+        ray_at = {f.generator_indices[0]: em.poly.rays[f.generator_indices[1] - len(vs)]
+                  for f in faces(em.poly) if not f.bounded}
+        walk = [vadd(walk[0], ray_at[order[0]])] + walk + [vadd(walk[-1], ray_at[order[-1]])]
+        triples = zip(walk, walk[1:], walk[2:])
+    else:
+        triples = ()
+    assert all(turn(a, b, c) < 0 for a, b, c in triples)
+
+
+@pytest.mark.parametrize("name", ["pentagon", "skew"])
+def test_facet_corners_follow_the_clockwise_walk_of_a(name):
+    space = ORDER_SPACES[name]
+    em = extend_menu(Menu(items=space.poly.points), unrestricted_cone(2), space)
+    walk = [em.vertices[i] for i in planar._order_vertices(em)[0]]
+    steps = list(zip(walk, walk[1:] + walk[:1]))
+    assert sum(p[0] * q[1] - p[1] * q[0] for p, q in steps) < 0  # clockwise: negative area
+    assert {planar._facet_corners(space, f) for f in range(len(space.facets))} == set(steps)
