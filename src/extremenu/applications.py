@@ -51,6 +51,8 @@ def make_type_sample(entries, cone: TypeCone) -> TypeSample:
     for theta, w in entries:
         theta = as_vec(theta)
         w = frac(w)
+        if len(theta) != cone.dim:
+            raise ScenarioError(f"sample type has dimension {len(theta)}, expected {cone.dim}")
         if is_zero(theta):
             raise ScenarioError("sample type must be nonzero")
         if w < 0:

@@ -33,20 +33,13 @@ def is_exhaustive(em: ExtendedMenu, space: AllocationSpace) -> ExhaustivenessRep
     binding facet hyperplanes must have empty common intersection.
     """
     binding = tuple(sorted(em.binding))
-    d = space.dim
-    if len(em.vertices) == 1:
-        v = em.vertices[0]
-        if v in space.poly.points:
-            return ExhaustivenessReport(True, "singleton-at-vertex", binding=binding)
-        t = _translation_witness([space.facets[i].normal for i in space.facet_set(v)], d)
-        _check_translation(t, em, space)
-        return ExhaustivenessReport(False, "failure", witness_translation=t, binding=binding)
-
+    if len(em.vertices) == 1 and em.vertices[0] in space.poly.points:
+        return ExhaustivenessReport(True, "singleton-at-vertex", binding=binding)
+    # a singleton off the vertices of A has binding normals of rank < d
     normals = [space.facets[i].normal for i in binding]
     offsets = [space.facets[i].offset for i in binding]
-    if rank(normals) < d:
-        t = _translation_witness(normals, d)
-        _check_translation(t, em, space)
+    if rank(normals) < space.dim:
+        t = _translation_witness(normals, em, space)
         return ExhaustivenessReport(False, "failure", witness_translation=t, binding=binding)
     z = solve_affine(normals, offsets)
     if z is not None:
@@ -57,36 +50,15 @@ def is_exhaustive(em: ExtendedMenu, space: AllocationSpace) -> ExhaustivenessRep
     return ExhaustivenessReport(True, "spanning-and-empty-intersection", binding=binding)
 
 
-def _translation_witness(normals, d):
-    basis = nullspace_basis(normals) if normals else [as_vec([1] + [0] * (d - 1))]
+def _translation_witness(normals, em, space):
+    """A t orthogonal to the normals; ext M + eps t and ext M - eps t must
+    stay in A for some eps > 0."""
+    basis = nullspace_basis(normals) if normals else [as_vec([1] + [0] * (space.dim - 1))]
     if not basis:
         raise geo.InternalError("no translation witness despite rank deficiency (internal)")
-    return basis[0]
-
-
-def _check_translation(t, em, space):
-    """Both ext M + eps t and ext M - eps t must stay in A for small eps > 0."""
-    for i in em.binding:
-        if space.facets[i].value(t) != 0:
-            raise geo.InternalError("translation witness not orthogonal to binding facet (internal)")
-    eps = _feasible_step(t, em, space)
-    if eps <= 0:
+    if space.step_bound((v, basis[0]) for v in em.vertices) == 0:
         raise geo.InternalError("translation witness admits no feasible step (internal)")
-
-
-def _feasible_step(t, em, space) -> Fraction:
-    """Largest eps with ext M +- eps t inside A, halved once; 1 if unconstrained."""
-    eps = Fraction(1)
-    for v in em.vertices:
-        for h in space.facets:
-            drift = h.value(t)
-            if drift == 0:
-                continue
-            slack = h.offset - h.value(v)
-            if slack == 0:
-                return Fraction(0)
-            eps = min(eps, slack / abs(drift))
-    return eps / 2
+    return basis[0]
 
 
 def facet_conditions_hold(facet_indices, space: AllocationSpace) -> bool:

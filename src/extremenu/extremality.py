@@ -6,7 +6,10 @@ unknowns are one displacement vector per vertex and one scale per bounded
 edge, the edge equations force displacements to slide edges in parallel, and
 the facet equations pin displacements to the touched facets of A. A nonzero
 nullspace vector is a two-sided feasible deformation direction and yields a
-verified Minkowski decomposition of the extended menu.
+verified Minkowski decomposition of the extended menu. Extraction builds no
+system: it checks the two equation families on M's own edges and facet
+incidences, and steps by AllocationSpace.step_bound, the feasible-step bound
+that exhaustiveness also uses for its translation witness.
 
 The independent cross-check encodes the same question as a vertex test on
 the lifted deformation polytope (offsets of the menu's own facet-defining
@@ -34,14 +37,11 @@ class DeformationSystem:
     per bounded edge. Rows, as primitive integer dicts {column: int}: the edge
     equations mu_e (a - b) = psi_a - psi_b and the facet equations
     psi_a . n_H = 0 for H in F(a). The inequality family (facets not touched
-    by a) is strict at the trivial solution and is recorded with its slack.
+    by a) is strict at the trivial solution, so it adds no row.
     """
 
-    vertices: tuple
-    edges: tuple
     rows: tuple
     ncols: int
-    strict_slacks: tuple  # (vertex_index, facet_index, positive slack)
 
 
 @dataclass(frozen=True)
@@ -71,7 +71,6 @@ class DecompositionCertificate:
 class VerificationResult:
     ok: bool
     failure: str | None = None
-    failing_direction: tuple | None = None
 
     def __bool__(self) -> bool:
         return self.ok
@@ -93,22 +92,7 @@ def build_deformation_system(em: ExtendedMenu, space: AllocationSpace) -> Deform
         for f in sorted(em.facet_incidence[i]):
             normal = space.facets[f].normal
             rows.append({i * d + c: a for c, a in enumerate(normal) if a})
-    slacks = []
-    for i, v in enumerate(em.vertices):
-        for f, h in enumerate(space.facets):
-            if f in em.facet_incidence[i]:
-                continue
-            s = h.offset - h.value(v)
-            if s <= 0:
-                raise geo.InternalError("non-incident facet without slack (internal)")
-            slacks.append((i, f, s))
-    return DeformationSystem(
-        vertices=em.vertices,
-        edges=em.edges,
-        rows=tuple(rows),
-        ncols=ncols,
-        strict_slacks=tuple(slacks),
-    )
+    return DeformationSystem(rows=tuple(rows), ncols=ncols)
 
 
 def is_extreme_finite(em: ExtendedMenu, space: AllocationSpace) -> ExtremalityVerdict:
@@ -145,22 +129,15 @@ def extract_decomposition(
 ) -> DecompositionCertificate:
     """Largest symmetric step along the direction, halved for strictness.
 
-    The step keeps every untouched allocation facet satisfied on both sides
-    and every edge scale 1 +- eps*mu nonnegative. The resulting certificate
-    is proved correct by verify_certificate before it is returned; a failed
-    proof raises GeometryError.
+    The direction is checked on M's own edges and facet incidences. The step
+    is space.step_bound on the vertex moves, capped so that every edge scale
+    1 +- eps*mu stays nonnegative. The certificate is proved correct by
+    verify_certificate before it is returned; a failed proof raises
+    GeometryError.
     """
-    system = build_deformation_system(em, space)
-    _require_direction_in_nullspace(system, direction)
-    eps = Fraction(1)
-    for i, f, slack in system.strict_slacks:
-        drift = dot(space.facets[f].normal, direction.psi[i])
-        if drift != 0:
-            eps = min(eps, slack / abs(drift))
-    for m in direction.mu:
-        if m != 0:
-            eps = min(eps, Fraction(1) / abs(m))
-    eps = eps / 2
+    _require_direction_in_nullspace(em, space, direction)
+    eps = min([space.step_bound(zip(em.vertices, direction.psi))]
+              + [Fraction(1) / abs(m) for m in direction.mu if m]) / 2
     plus = _displace(em.vertices, direction.psi, eps)
     minus = _displace(em.vertices, direction.psi, -eps)
     if space.veto is not None:
@@ -199,15 +176,21 @@ def _isupport(rows, normal):
     return best
 
 
-def _require_direction_in_nullspace(system, direction):
-    flat = [x for p in direction.psi for x in p] + list(direction.mu)
-    if len(flat) != system.ncols:
+def _require_direction_in_nullspace(em, space, direction):
+    """The deformation equations, read off M: psi_i - psi_j = mu_k (v_i - v_j)
+    on each bounded edge k = (i, j), and n_f . psi_i = 0 for f in F(v_i)."""
+    psi, mu = direction.psi, direction.mu
+    if (len(psi) != len(em.vertices) or len(mu) != len(em.edges)
+            or any(len(p) != space.dim for p in psi)):
         raise geo.GeometryError("direction has wrong shape for this menu")
-    if all(x == 0 for x in flat):
+    if all(is_zero(p) for p in psi) and not any(mu):
         raise geo.GeometryError("direction must be nonzero")
-    for row in system.rows:
-        if sum(a * flat[c] for c, a in row.items()) != 0:
-            raise geo.GeometryError("direction is not in the deformation nullspace")
+    vs = em.vertices
+    slides = all(vsub(psi[i], psi[j]) == vscale(vsub(vs[i], vs[j]), m)
+                 for (i, j), m in zip(em.edges, mu))
+    if not slides or any(space.facets[f].value(psi[i])
+                         for i, fs in enumerate(em.facet_incidence) for f in fs):
+        raise geo.GeometryError("direction is not in the deformation nullspace")
 
 
 def _displace(vertices, psi, eps):
@@ -244,9 +227,7 @@ def verify_certificate(cert: DecompositionCertificate, em: ExtendedMenu, space: 
         for p in items:
             for h in space.facets:
                 if not h.contains(p):
-                    return VerificationResult(
-                        False, f"menu_{name} item {p} outside A", as_vec(h.normal)
-                    )
+                    return VerificationResult(False, f"menu_{name} item {p} outside A")
     if space.veto is not None:
         if space.veto not in plus or space.veto not in minus:
             return VerificationResult(False, "veto allocation missing from a summand (IR)")
@@ -260,7 +241,7 @@ def verify_certificate(cert: DecompositionCertificate, em: ExtendedMenu, space: 
         h_p = Fraction(_isupport(rows_p, h.normal), s_p)
         h_n = Fraction(_isupport(rows_n, h.normal), s_n)
         if h_p + h_n != 2 * h_m:
-            return VerificationResult(False, "support identity failed", tuple(h.normal))
+            return VerificationResult(False, "support identity failed")
     minus_set = set(minus)
     for v in em.vertices:
         if not any(tuple(2 * a - b for a, b in zip(v, p)) in minus_set for p in plus):

@@ -10,6 +10,7 @@ incidences drive every downstream decision.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property, lru_cache
 import math
 
@@ -69,6 +70,21 @@ class AllocationSpace:
 
     def contains(self, x) -> bool:
         return all(h.contains(x) for h in self.facets)
+
+    def step_bound(self, moves) -> Fraction:
+        """Largest eps <= 1 with p + eps t and p - eps t in A for every (p, t)
+        in moves; 0 when some t leaves a facet that its p touches."""
+        eps = Fraction(1)
+        for p, t in moves:
+            for h in self.facets:
+                drift = h.value(t)
+                if drift == 0:
+                    continue
+                slack = h.offset - h.value(p)
+                if slack == 0:
+                    return Fraction(0)
+                eps = min(eps, slack / abs(drift))
+        return eps
 
 
 def allocation_space_from_points(points, veto=None) -> AllocationSpace:

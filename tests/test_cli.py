@@ -211,13 +211,16 @@ EXPERIMENT = ["experiment", "--preset", "simplex", "--d", "2", "--k", "3"]
     (["evaluate", "SCENARIO", "--sample", "SAMPLE"], [1, 2], ROW_MESSAGE),
     (["evaluate", "SCENARIO", "--sample", "SAMPLE"], [{"theta": ["1/2", "-1"]}], ROW_MESSAGE),
     (["evaluate", "SCENARIO", "--sample", "SAMPLE"], "[{", "invalid JSON in "),
+    (["evaluate", "SCENARIO", "--sample", "SAMPLE"], [{"theta": ["1", "-1", "5"], "weight": "1"}],
+     "sample type has dimension 3, expected 2"),
     (["perturb", "SCENARIO", "--delta", "abc"], None, "malformed rational 'abc'"),
     (["monopoly", "SCENARIO", "--nudge", "--eps", "1/0", "--delta", "1/4"], None,
      "malformed rational '1/0'"),
     (EXPERIMENT + ["--samples", "-5"], None, "genericity_experiment needs samples >= 1"),
     (EXPERIMENT + ["--samples", "0"], None, "genericity_experiment needs samples >= 1"),
 ], ids=["sample-row-not-object", "sample-row-without-weight", "sample-not-json",
-        "delta-not-rational", "eps-not-rational", "samples-negative", "samples-zero"])
+        "sample-type-wrong-dimension", "delta-not-rational", "eps-not-rational",
+        "samples-negative", "samples-zero"])
 def test_malformed_flag_or_sample_is_one_line_diagnostic(tmp_path, command, sample, message):
     spath = tmp_path / "sample.json"
     spath.write_text(sample if isinstance(sample, str) else json.dumps(sample))

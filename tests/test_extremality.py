@@ -4,7 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 from corpus import CORPUS, CORPUS_BY_NAME
-from extremenu import geometry as geo
+from extremenu import cli, extremality, geometry as geo
 from extremenu.exhaustive import is_exhaustive
 from extremenu.extremality import (
     DecompositionCertificate,
@@ -37,7 +37,6 @@ def test_posted_price_system_shape_and_rank():
     # 2 vertices in dimension 2 plus one bounded edge: 5 unknowns, full rank
     assert system.ncols == 5
     assert len(rref_sparse(system.rows, system.ncols)[0]) == 5
-    assert all(s > 0 for (_, _, s) in system.strict_slacks)
 
 
 def test_floating_segment_nullspace_contains_translations():
@@ -164,19 +163,66 @@ def test_certificate_without_veto_rejected():
 
 def test_direction_not_in_nullspace_rejected():
     # each input check of extract_decomposition, with its own message; these
-    # are caller errors, so none may carry the "(internal)" marker
+    # are caller errors, so none may carry the "(internal)" marker. The
+    # common translation `off` breaks only a facet equation; the verdict's own
+    # direction with mu_0 raised by 1 breaks only the equation of edge 0
     sc, em = em_of("prism_delta3")
+    own = is_extreme_finite(em, sc.space).direction
     off = tuple(as_vec((1, 0, 0)) for _ in em.vertices)
     zero = tuple(as_vec((0, 0, 0)) for _ in em.vertices)
-    mu = tuple(F(0) for _ in em.edges)
-    for psi, message in [
-        (off, "is not in the deformation nullspace"),
-        (off[:-1], "has wrong shape"),
-        (zero, "must be nonzero"),
+    still = tuple(F(0) for _ in em.edges)
+    for psi, mu, message in [
+        (off, still, "is not in the deformation nullspace"),
+        (own.psi, (own.mu[0] + 1,) + own.mu[1:], "is not in the deformation nullspace"),
+        (off[:-1], still, "has wrong shape"),
+        (zero, still, "must be nonzero"),
     ]:
         with pytest.raises(geo.GeometryError, match=message) as info:
             extract_decomposition(em, sc.space, DeformationDirection(psi=psi, mu=mu))
         assert "(internal)" not in str(info.value)
+
+
+def test_analyze_builds_one_deformation_system(monkeypatch):
+    # the verdict builds the system; extraction checks the direction on M
+    # itself and builds none
+    build = extremality.build_deformation_system
+    calls = []
+    monkeypatch.setattr(extremality, "build_deformation_system",
+                        lambda em, space: calls.append(em) or build(em, space))
+    checked = 0
+    for case in CORPUS:
+        if case.extreme:
+            continue
+        calls.clear()
+        report = cli.run_command("analyze", case.scenario, None)
+        assert isinstance(report["extremality"]["certificate"], dict), case.name
+        assert len(calls) == 1, case.name
+        checked += 1
+    assert checked >= 10
+
+
+def test_extraction_step_is_maximal():
+    # 2 eps, the step before halving, keeps every vertex in A and every edge
+    # scale 1 +- 2 eps mu_k nonnegative, and it meets one of these bounds: the
+    # cap 1, some 1/|mu_k|, or the slack of a facet that v_i does not touch
+    checked = 0
+    for case in CORPUS:
+        sc, em = case.scenario, extended_menu(case.scenario)
+        verdict = is_extreme_finite(em, sc.space)
+        if verdict.extreme:
+            continue
+        direction = verdict.direction
+        step = 2 * extract_decomposition(em, sc.space, direction).epsilon
+        moves = [(h.offset - h.value(v), abs(h.value(p)))
+                 for v, p, touched in zip(em.vertices, direction.psi, em.facet_incidence)
+                 for f, h in enumerate(sc.space.facets) if f not in touched and h.value(p)]
+        assert 0 < step <= 1, case.name
+        assert all(step * abs(m) <= 1 for m in direction.mu), case.name
+        assert all(step * drift <= slack for slack, drift in moves), case.name
+        assert (step == 1 or any(step * abs(m) == 1 for m in direction.mu)
+                or any(step * drift == slack for slack, drift in moves)), case.name
+        checked += 1
+    assert checked >= 10
 
 
 def test_summand_average_rebuilds_extension_exactly():

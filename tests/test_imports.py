@@ -1,6 +1,8 @@
-"""Every import in the package sits at module level and is used there.
+"""Every import in the package sits at module level and is used there, and
+every private module-level function or class is referenced somewhere in it.
 
-No linter ships with the project, so this is the check for orphaned imports.
+No linter ships with the project, so this is the check for orphaned imports
+and helpers.
 ``__init__.py`` (whose imports are re-exports) and ``from __future__`` are
 exempt; names listed in a module's ``__all__`` count as used. No module has
 an import cycle that a deferred import would have to break, so an import in
@@ -78,6 +80,40 @@ def test_checker_flags_a_nested_import():
                          ids=lambda p: p.name)
 def test_no_imports_inside_functions(path):
     assert nested_imports(path.read_text(encoding="utf-8")) == []
+
+
+def unreferenced_private_defs(sources: dict) -> list:
+    """Private (single underscore) module-level functions and classes whose
+    name no other top-level statement of any module reads, as a Name or as an
+    attribute; a helper that only calls itself counts as unreferenced."""
+    statements = [(module, node) for module, source in sorted(sources.items())
+                  for node in ast.parse(source).body]
+    names = [{n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+              if isinstance(n, (ast.Name, ast.Attribute))} for _, node in statements]
+    return sorted(f"{module}.{node.name}" for k, (module, node) in enumerate(statements)
+                  if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                  and node.name.startswith("_") and not node.name.startswith("__")
+                  and not any(node.name in seen for j, seen in enumerate(names) if j != k))
+
+
+def test_checker_flags_an_unreferenced_private_def():
+    sources = {
+        "a": (
+            "def _called():\n    return 1\n"
+            "def _recursive(n):\n    return _recursive(n - 1)\n"
+            "class _Orphan:\n    pass\n"
+            "def public():\n    return _called()\n"
+            "def __dunder__():\n    pass\n"
+        ),
+        "b": "from . import a\ndef _shared():\n    pass\nx = a._elsewhere\n",
+        "c": "def _elsewhere():\n    pass\ny = _shared\n",
+    }
+    assert unreferenced_private_defs(sources) == ["a._Orphan", "a._recursive"]
+
+
+def test_no_unreferenced_private_defs():
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in MODULES + [Path(extremenu.__file__)]}
+    assert unreferenced_private_defs(sources) == []
 
 
 def test_every_traced_name_resolves():
