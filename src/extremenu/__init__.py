@@ -18,7 +18,6 @@ from .model import (
     agent_choice,
     extend_menu,
     polar_cone,
-    support_value,
     validate_scenario,
 )
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import geometry as geo
-from .exhaustive import facet_conditions_hold, is_exhaustive
+from .exhaustive import exhaustive_points, is_exhaustive
 from .extremality import extract_decomposition, is_extreme_finite
 from .geometry import as_vec, dot, frac, is_zero, unit_vec, vadd, vscale, zero_vec
 from .model import (
@@ -160,11 +160,8 @@ def delegation_classify(scenario: Scenario) -> DelegationReport:
         if extreme and not rep.exhaustive:
             raise geo.InternalError("extreme but not exhaustive (internal)")
         if not extreme and rep.exhaustive:
-            cert = extract_decomposition(em, space, verdict.direction)
-            for items in (cert.menu_plus, cert.menu_minus):
-                for p in items:
-                    if not space.contains(p):
-                        raise geo.InternalError("summand escaped the simplex (internal)")
+            # extraction verifies its certificate and raises when it fails
+            extract_decomposition(em, space, verdict.direction)
     return DelegationReport(kind=kind, menu_size=n, extreme=extreme, source=source)
 
 
@@ -444,14 +441,13 @@ def sample_menu(preset: str, d: int, k: int, rng) -> list:
 
 def _exhaustive_binding(items, space: AllocationSpace, cone: TypeCone):
     """(exhaustive, binding) of the extended menu M of the distinct items."""
-    items = tuple(dict.fromkeys(items))
+    points = tuple(dict.fromkeys(items))
     if cone.polar_rays:
-        em = extend_menu(Menu(items=items), cone, space)
-        return is_exhaustive(em, space).exhaustive, em.binding
-    binding = frozenset().union(*map(space.facet_set, items))
-    if len(items) == 1:  # a singleton is exhaustive exactly at a vertex of A
-        return items[0] in space.poly.points, binding
-    return facet_conditions_hold(binding, space), binding
+        em = extend_menu(Menu(items=points), cone, space)
+        points, binding = em.vertices, em.binding
+    else:
+        binding = frozenset().union(*map(space.facet_set, points))
+    return exhaustive_points(points, binding, space), binding
 
 
 def force_exhaustive(items, space: AllocationSpace, cone: TypeCone):
@@ -490,16 +486,14 @@ def force_exhaustive(items, space: AllocationSpace, cone: TypeCone):
     if _exhaustive_binding(items, space, cone)[0]:
         return list(dict.fromkeys(items))
     movable = sorted(set(range(len(items))) - ({items.index(space.veto)} if space.veto in items else set()))
-    if len(items) == 1 and movable:
-        # a singleton is exhaustive exactly at a vertex of A
-        return [space.poly.points[0]]
-    if len(movable) < 2:
+    if len(movable) < min(len(items), 2):
         raise ScenarioError("cannot force exhaustiveness with so few movable items")
     vtx = space.poly.points[0]
     items[movable[0]] = vtx
-    vertex_facets = space.facet_set(vtx)
-    f = next(i for i in range(len(space.facets)) if i not in vertex_facets)
-    items[movable[1]] = space.facets[f].project(items[movable[1]])
+    if len(items) > 1:
+        vertex_facets = space.facet_set(vtx)
+        f = next(i for i in range(len(space.facets)) if i not in vertex_facets)
+        items[movable[1]] = space.facets[f].project(items[movable[1]])
     items = list(dict.fromkeys(items))
     if not _exhaustive_binding(items, space, cone)[0]:
         raise ScenarioError("exhaustiveness forcing failed")

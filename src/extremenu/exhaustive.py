@@ -1,9 +1,10 @@
 """Exhaustiveness: whether a menu can be scaled/translated to touch more facets.
 
-Two independent encodings are provided. The direct test checks the spanning
-and empty-intersection conditions on the binding facet set; the cross-check
-builds the homothety polytope in (scale, translation) space and asks whether
-the identity homothety is one of its vertices. They must always agree.
+One rule (``exhaustive_points``) decides it from a menu's distinct points and
+binding facets, and every decision in the package goes through it; only a
+failure builds a witness. The cross-check builds the homothety polytope in
+(scale, translation) space and asks whether the identity homothety is one of
+its vertices. The two encodings must always agree.
 """
 
 from __future__ import annotations
@@ -25,29 +26,35 @@ class ExhaustivenessReport:
     binding: tuple = ()
 
 
-def is_exhaustive(em: ExtendedMenu, space: AllocationSpace) -> ExhaustivenessReport:
-    """Decide exhaustiveness; failures ship a verifiable witness.
+def exhaustive_points(points, binding, space: AllocationSpace) -> bool:
+    """The exhaustiveness rule for a menu with these distinct points and
+    binding facet indices: one point is exhaustive iff it is a vertex of A, two
+    or more iff the binding facets meet the spanning and empty-intersection
+    conditions."""
+    if len(points) == 1:
+        return points[0] in space.poly.points
+    return facet_conditions_hold(binding, space)
 
-    Singleton menus are exhaustive iff their single vertex is a vertex of A.
-    Otherwise the binding facet normals must span the ambient space and the
-    binding facet hyperplanes must have empty common intersection.
+
+def is_exhaustive(em: ExtendedMenu, space: AllocationSpace) -> ExhaustivenessReport:
+    """Decide exhaustiveness by the rule; only failures build a witness.
+
+    With binding normals of rank < d (every singleton off the vertices of A)
+    the witness is a translation t with ext M +- eps t in A; with rank d it is
+    the common point z of the binding hyperplanes, the centre of a dilation.
     """
     binding = tuple(sorted(em.binding))
-    if len(em.vertices) == 1 and em.vertices[0] in space.poly.points:
-        return ExhaustivenessReport(True, "singleton-at-vertex", binding=binding)
-    # a singleton off the vertices of A has binding normals of rank < d
+    if exhaustive_points(em.vertices, binding, space):
+        case = "singleton-at-vertex" if len(em.vertices) == 1 else "spanning-and-empty-intersection"
+        return ExhaustivenessReport(True, case, binding=binding)
     normals = [space.facets[i].normal for i in binding]
-    offsets = [space.facets[i].offset for i in binding]
     if rank(normals) < space.dim:
         t = _translation_witness(normals, em, space)
         return ExhaustivenessReport(False, "failure", witness_translation=t, binding=binding)
-    z = solve_affine(normals, offsets)
-    if z is not None:
-        for i in binding:
-            if not space.facets[i].tight_at(z):
-                raise geo.InternalError("dilation center fails a binding facet (internal)")
-        return ExhaustivenessReport(False, "failure", witness_center=z, binding=binding)
-    return ExhaustivenessReport(True, "spanning-and-empty-intersection", binding=binding)
+    z = solve_affine(normals, [space.facets[i].offset for i in binding])
+    if z is None or not all(space.facets[i].tight_at(z) for i in binding):
+        raise geo.InternalError("rule failed at full rank but no tight dilation centre (internal)")
+    return ExhaustivenessReport(False, "failure", witness_center=z, binding=binding)
 
 
 def _translation_witness(normals, em, space):
@@ -72,74 +79,49 @@ def facet_conditions_hold(facet_indices, space: AllocationSpace) -> bool:
 
 
 def minimal_exhaustive_subset(vertices, space: AllocationSpace, must_include=None):
-    """Greedy exhaustive subset of at most d+1 points (2 if the veto is included).
+    """Greedy subset of at most d+1 of a menu's points whose touched facets
+    alone make the menu pass the rule (2 points if the veto is included).
 
-    Chooses points whose touched-facet normals reach full rank, then one more
-    point on a facet avoiding the common intersection point. The output is
-    certified exhaustive before returning.
+    While the touched normals have rank < d, adds the first point that raises
+    that rank most (the scan stops at rank d); then, unless the rule holds,
+    the first point after which it does. The rule reads the whole menu's
+    point count, so a menu of two or more points never reduces to one.
     """
     vertices = [as_vec(v) for v in vertices]
-    d = space.dim
     facet_sets = [space.facet_set(v) for v in vertices]
-
-    if len(vertices) == 1:
-        if vertices[0] in space.poly.points:
-            return tuple(vertices)
-        raise geo.GeometryError("minimal_exhaustive_subset: input is not exhaustive")
-
     chosen = []
-    chosen_idx = set()
     if must_include is not None:
-        must_include = as_vec(must_include)
-        try:
-            k = vertices.index(must_include)
-        except ValueError:
+        if as_vec(must_include) not in vertices:
             raise geo.GeometryError("must_include is not among the input vertices")
-        chosen.append(k)
-        chosen_idx.add(k)
+        chosen.append(vertices.index(as_vec(must_include)))
 
-    def facet_union(sel):
-        out = set()
-        for i in sel:
-            out |= facet_sets[i]
-        return sorted(out)
+    def touched(extra=()):
+        return frozenset().union(*(facet_sets[i] for i in chosen + list(extra)))
 
-    current_rank = rank([space.facets[i].normal for i in facet_union(chosen)]) if chosen else 0
-    while current_rank < d:
-        best = None
-        best_rank = current_rank
-        for i in range(len(vertices)):
-            if i in chosen_idx:
-                continue
-            r = rank([space.facets[j].normal for j in facet_union(chosen + [i])])
-            if r > best_rank:
-                best = i
-                best_rank = r
-                if r == d:
+    def normal_rank(extra=()):
+        return rank([space.facets[j].normal for j in touched(extra)])
+
+    def passes(extra=()):
+        return exhaustive_points(vertices, touched(extra), space)
+
+    r = normal_rank()
+    while r < space.dim or not passes():
+        rest = [i for i in range(len(vertices)) if i not in chosen]
+        if r < space.dim:
+            ranks = {None: r}  # max: first point of highest rank, None if none raises r
+            for i in rest:
+                ranks[i] = normal_rank([i])
+                if ranks[i] == space.dim:
                     break
+            best = max(ranks, key=ranks.get)
+            r = ranks[best]
+        else:
+            best = next((i for i in rest if passes([i])), None)
         if best is None:
             raise geo.GeometryError("minimal_exhaustive_subset: input is not exhaustive")
         chosen.append(best)
-        chosen_idx.add(best)
-        current_rank = best_rank
-
-    if not facet_conditions_hold(facet_union(chosen), space):
-        added = False
-        for i in range(len(vertices)):
-            if i in chosen_idx:
-                continue
-            if facet_conditions_hold(facet_union(chosen + [i]), space):
-                chosen.append(i)
-                chosen_idx.add(i)
-                added = True
-                break
-        if not added:
-            raise geo.GeometryError("minimal_exhaustive_subset: input is not exhaustive")
-
-    if len(chosen) > d + 1:
+    if len(chosen) > space.dim + 1:
         raise geo.InternalError("minimal subset exceeded d+1 points (internal)")
-    if not facet_conditions_hold(facet_union(chosen), space):
-        raise geo.InternalError("minimal subset failed certification (internal)")
     return tuple(vertices[i] for i in chosen)
 
 

@@ -25,9 +25,9 @@ from fractions import Fraction
 from math import gcd
 
 from . import geometry as geo
-from .geometry import as_vec, dot, is_zero, rank, solve_affine, vadd, vscale, vsub
+from .geometry import as_vec, is_zero, vadd, vscale, vsub
 from .kernels import nullspace, rref_sparse
-from .model import AllocationSpace, ExtendedMenu, Menu, TypeCone, extend_menu
+from .model import AllocationSpace, ExtendedMenu
 
 @dataclass(frozen=True)
 class DeformationSystem:
@@ -278,44 +278,3 @@ def def_polytope_cross_check(em: ExtendedMenu, space: AllocationSpace) -> bool:
             rows.append({k + i * d + c: a for c, a in enumerate(space.facets[f].normal) if a})
     pivots, _ = rref_sparse(rows, ncols)
     return len(pivots) == ncols
-
-
-def is_deformation(em: ExtendedMenu, other: ExtendedMenu) -> bool:
-    """Whether `other` is a deformation of `em`: parallel translates of em's
-    facet-defining hyperplanes whose vertex-defining intersections survive.
-
-    Offsets are read off as support values of `other`; each vertex-defining
-    intersection must resolve to a single point that is a vertex of `other`,
-    and the translated halfspaces must cut out exactly `other`.
-    """
-    if em.dim != other.dim:
-        raise geo.GeometryError("ambient dimension mismatch")
-    hm = em.poly.halfspaces
-    offsets = []
-    for h in hm:
-        offsets.append(max(dot(as_vec(h.normal), v) for v in other.vertices))
-    for r in other.poly.rays:
-        for h in hm:
-            if geo._idot(h.normal, r) > 0:
-                return False
-    vertex_set = set(other.vertices)
-    for i in range(len(em.vertices)):
-        inc = sorted(em.poly.incidence[i])
-        normals = [hm[j].normal for j in inc]
-        rhs = [offsets[j] for j in inc]
-        if rank(normals) != em.dim:
-            raise geo.InternalError("vertex with deficient incidence rank (internal)")
-        z = solve_affine(normals, rhs)
-        if z is None:
-            return False
-        # uniqueness given full rank; z must survive as a vertex
-        if z not in vertex_set:
-            return False
-    translated = [geo.Hyperplane.make(h.normal, c) for h, c in zip(hm, offsets)]
-    rebuilt = geo.polyhedron_from_halfspaces(translated)
-    return rebuilt.points == other.poly.points and rebuilt.rays == other.poly.rays
-
-
-def summand_extended_menus(cert, cone: TypeCone, space: AllocationSpace):
-    return (extend_menu(Menu(items=cert.menu_plus), cone, space),
-            extend_menu(Menu(items=cert.menu_minus), cone, space))

@@ -237,10 +237,6 @@ class Hyperplane:
     def key(self):
         return (self.normal, self.offset)
 
-    def same_hyperplane(self, other: "Hyperplane") -> bool:
-        """Equality as point sets (orientation ignored)."""
-        return self.key() == other.key() or self.key() == other.flipped().key()
-
 
 # ---------------------------------------------------------------------------
 # double description on cones
@@ -390,12 +386,6 @@ class Polyhedron:
 
     def tight_set(self, x) -> frozenset:
         return frozenset(i for i, h in enumerate(self.halfspaces) if h.tight_at(x))
-
-    def is_vertex(self, x) -> bool:
-        if not self.contains(x):
-            return False
-        tight = [self.halfspaces[i].normal for i in self.tight_set(x)]
-        return rank(tight) == self.ambient_dim
 
 
 def caratheodory_decomposition(poly: Polyhedron, x):

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-import math
 
 from . import geometry as geo
 from .geometry import (
@@ -388,13 +387,3 @@ def agent_choice(menu: Menu, theta):
             best_val = v
             best = item
     return best
-
-
-def support_value(em: ExtendedMenu, theta):
-    """sup of theta . y over the extended menu: exact max over vertices when
-    theta lies in the type cone, +inf otherwise."""
-    theta = as_vec(theta)
-    for r in em.poly.rays:
-        if geo.dot(as_vec(r), theta) > 0:
-            return math.inf
-    return max(dot(v, theta) for v in em.vertices)

@@ -47,7 +47,6 @@ class PerturbationResult:
     already_extreme: bool
     retries: int
     general_position: GeneralPositionReport
-    exhaustiveness: object
     extremality: ExtremalityVerdict
 
 
@@ -106,8 +105,7 @@ def perturb_to_extreme(menu: Menu, space: AllocationSpace, cone: TypeCone, delta
             f"d = {d} < 3: size-limited menus cannot be perturbed into extreme points"
         )
     em = extend_menu(menu, cone, space)
-    rep = is_exhaustive(em, space)
-    if not rep.exhaustive:
+    if not is_exhaustive(em, space).exhaustive:
         raise PerturbationError("perturb_to_extreme requires an exhaustive menu")
     verdict = is_extreme_finite(em, space)
     if verdict.extreme:
@@ -119,7 +117,6 @@ def perturb_to_extreme(menu: Menu, space: AllocationSpace, cone: TypeCone, delta
             already_extreme=True,
             retries=0,
             general_position=is_general_position(menu.items),
-            exhaustiveness=rep,
             extremality=verdict,
         )
 
@@ -141,8 +138,7 @@ def perturb_to_extreme(menu: Menu, space: AllocationSpace, cone: TypeCone, delta
         if len(new_em.vertices) != len(new_items):
             last_error = "perturbed item absorbed"
             continue
-        new_rep = is_exhaustive(new_em, space)
-        if not new_rep.exhaustive:
+        if not is_exhaustive(new_em, space).exhaustive:
             last_error = "perturbation lost exhaustiveness"
             continue
         new_verdict = is_extreme_finite(new_em, space)
@@ -156,7 +152,6 @@ def perturb_to_extreme(menu: Menu, space: AllocationSpace, cone: TypeCone, delta
             already_extreme=False,
             retries=attempt + 1,
             general_position=general_position,
-            exhaustiveness=new_rep,
             extremality=new_verdict,
         )
     raise PerturbationError(
@@ -221,16 +216,3 @@ def _off_affine_hull(x, others):
     base = others[0]
     rows = [vsub(p, base) for p in others[1:]]
     return rank(rows + [vsub(x, base)]) > rank(rows)
-
-
-def hausdorff_bound(menu_a, menu_b) -> Fraction:
-    """Upper bound on the Hausdorff distance between the convex hulls of two
-    equally-sized menus: the largest pairwise displacement (squared, exact).
-
-    Returned as the squared Euclidean displacement to stay rational.
-    """
-    best = Fraction(0)
-    for a, b in zip(menu_a, menu_b):
-        diff = vsub(as_vec(a), as_vec(b))
-        best = max(best, dot(diff, diff))
-    return best

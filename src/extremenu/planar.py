@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import geometry as geo
-from .exhaustive import ExhaustivenessReport, is_exhaustive
+from .exhaustive import is_exhaustive
 from .geometry import dot, vsub
 from .model import AllocationSpace, ExtendedMenu
 
@@ -59,7 +59,6 @@ class PlanarVerdict:
     extreme: bool
     method: str  # "small-menu" | "chain-search"
     chain: Chain | None = None
-    exhaustiveness: ExhaustivenessReport | None = None
 
 
 def _cross(u, v):
@@ -271,8 +270,7 @@ def classify_2d(em: ExtendedMenu, space: AllocationSpace) -> PlanarVerdict:
     if space.dim != 2:
         raise PlanarError(f"classify_2d requires d = 2, got d = {space.dim}")
     if len(em.vertices) <= 2:
-        rep = is_exhaustive(em, space)
-        return PlanarVerdict(extreme=rep.exhaustive, method="small-menu", exhaustiveness=rep)
+        return PlanarVerdict(extreme=is_exhaustive(em, space).exhaustive, method="small-menu")
     part = partition_boundary(em, space)
     chain = find_flexible_chain(part, em, space)
     return PlanarVerdict(extreme=chain is None, method="chain-search", chain=chain)

@@ -56,8 +56,9 @@ def monopoly_cone(m: int) -> TypeCone:
 
 
 @lru_cache(maxsize=64, typed=True)
-def space_for_preset(name: str, d: int | None = None, m: int | None = None, kappa=1):
-    """(space, cone) pair for a named preset; d is the ambient dimension.
+def space_for_preset(name: str, d: int):
+    """(space, cone) pair for a named preset; d is the ambient dimension, so
+    monopoly has d - 1 goods.
 
     Cached: both members are frozen, so repeated calls share one pair.
     """
@@ -66,9 +67,5 @@ def space_for_preset(name: str, d: int | None = None, m: int | None = None, kapp
     if name == "cube":
         return cube_space(d), model.unrestricted_cone(d)
     if name == "monopoly":
-        if m is None:
-            if d is None:
-                raise model.ScenarioError("monopoly preset needs m (or d = m+1)")
-            m = d - 1
-        return monopoly_space(m, kappa), monopoly_cone(m)
+        return monopoly_space(d - 1), monopoly_cone(d - 1)
     raise model.ScenarioError(f"unknown preset {name!r}")

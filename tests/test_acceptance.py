@@ -27,9 +27,10 @@ from extremenu.model import (
     unrestricted_cone,
     validate_scenario,
 )
-from extremenu.perturb import PerturbationError, hausdorff_bound, is_general_position, perturb_to_extreme
+from extremenu.perturb import PerturbationError, is_general_position, perturb_to_extreme
 from extremenu.planar import classify_2d
 from extremenu.presets import simplex_space, space_for_preset
+from oracles import hausdorff_bound
 
 N_RANDOM = 1000
 SUITE_SEED = 987101

@@ -12,15 +12,14 @@ from extremenu.extremality import (
     build_deformation_system,
     def_polytope_cross_check,
     extract_decomposition,
-    is_deformation,
     is_extreme_finite,
-    summand_extended_menus,
     verify_certificate,
 )
 from extremenu.geometry import as_vec
 from extremenu.kernels import rref_sparse
 from extremenu.model import extended_menu, unrestricted_cone, validate_scenario
 from extremenu.presets import cube_space
+from oracles import is_deformation, summand_extended_menus
 
 
 def em_of(name):

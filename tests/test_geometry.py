@@ -26,6 +26,7 @@ from extremenu.geometry import (
 )
 from extremenu.model import extended_menu, make_type_cone
 from extremenu.presets import monopoly_cone
+from oracles import is_vertex, same_hyperplane
 
 SQUARE_HS = [
     Hyperplane.make((1, 0), 1),
@@ -135,7 +136,7 @@ def test_incidence_certifies_vertices():
     for i, p in enumerate(poly.points):
         normals = [poly.halfspaces[j].normal for j in poly.incidence[i]]
         assert rank(normals) == d
-        assert poly.is_vertex(p)
+        assert is_vertex(poly, p)
 
 
 def test_lower_dimensional_generators_get_equality_pair():
@@ -143,7 +144,7 @@ def test_lower_dimensional_generators_get_equality_pair():
     assert seg.dim == 1
     # the affine hull is carried as a pair of opposite halfspaces
     eq = [h for h in seg.halfspaces for g in seg.halfspaces
-          if h is not g and h.same_hyperplane(g)]
+          if h is not g and same_hyperplane(h, g)]
     assert eq
 
 

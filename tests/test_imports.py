@@ -1,5 +1,6 @@
-"""Every import in the package sits at module level and is used there, and
-every private module-level function or class is referenced somewhere in it.
+"""Every import in the package sits at module level and is used there, every
+private module-level function or class is referenced somewhere in it, and
+every name that ``__init__.py`` re-exports is read by some other module.
 
 No linter ships with the project, so this is the check for orphaned imports
 and helpers.
@@ -114,6 +115,34 @@ def test_checker_flags_an_unreferenced_private_def():
 def test_no_unreferenced_private_defs():
     sources = {p.stem: p.read_text(encoding="utf-8") for p in MODULES + [Path(extremenu.__file__)]}
     assert unreferenced_private_defs(sources) == []
+
+
+def unreferenced_reexports(init_source: str, sources: dict) -> list:
+    """Names that ``__init__.py`` imports from the package itself (its
+    re-exports) and that no other module reads, as a Name or as an attribute:
+    public API that the package does not use belongs to the caller or the
+    tests."""
+    exported = {alias.name for node in ast.parse(init_source).body
+                if isinstance(node, ast.ImportFrom) and node.level for alias in node.names}
+    read = {n.id if isinstance(n, ast.Name) else n.attr for source in sources.values()
+            for n in ast.walk(ast.parse(source)) if isinstance(n, (ast.Name, ast.Attribute))}
+    return sorted(exported - read)
+
+
+def test_checker_flags_an_unreferenced_reexport():
+    init = "from math import tau\nfrom .a import used, orphan\nfrom .b import Shape\n"
+    sources = {
+        "a": "def used():\n    return 1\ndef orphan():\n    pass\n",
+        "b": "from . import a\nclass Shape:\n    pass\nx = a.used()\n",
+        "c": "from .b import Shape\ny = Shape\n",
+    }
+    assert unreferenced_reexports(init, sources) == ["orphan"]
+
+
+def test_no_unreferenced_reexports():
+    init = Path(extremenu.__file__).read_text(encoding="utf-8")
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in MODULES}
+    assert unreferenced_reexports(init, sources) == []
 
 
 def test_every_traced_name_resolves():

@@ -19,11 +19,11 @@ from extremenu.model import (
     extended_menu,
     make_type_cone,
     polar_cone,
-    support_value,
     unrestricted_cone,
     validate_scenario,
 )
 from extremenu.presets import monopoly_cone, monopoly_space, simplex_space, space_for_preset
+from oracles import same_hyperplane, support_value
 
 
 def monopoly_scenario(menu):
@@ -175,7 +175,7 @@ def test_absorption_in_lower_dimensional_extension():
     em = extended_menu(sc)
     assert em.poly.dim == 1
     pairs = [h for h in em.poly.halfspaces
-             if any(h.same_hyperplane(g) and h != g for g in em.poly.halfspaces)]
+             if any(same_hyperplane(h, g) and h != g for g in em.poly.halfspaces)]
     assert len(pairs) == 2
     assert em.vertices == ((0, 0), (F(1, 2), F(1, 2)))
     (cert,) = em.absorbed
@@ -230,7 +230,7 @@ def test_preset_spaces_are_cached():
         pair = space_for_preset(preset, d=3)
         assert space_for_preset(preset, d=3) is pair
         assert pair == space_for_preset.__wrapped__(preset, d=3)
-    assert space_for_preset("monopoly", m=1, kappa=2) is space_for_preset("monopoly", m=1, kappa=2)
+    assert space_for_preset("monopoly", d=2) == (monopoly_space(1), monopoly_cone(1))
 
 
 def test_cached_preset_spaces_give_unchanged_scenarios():

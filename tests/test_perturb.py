@@ -12,12 +12,12 @@ from extremenu.model import Menu, extend_menu, extended_menu, validate_scenario
 from extremenu.perturb import (
     GeneralPositionReport,
     PerturbationError,
-    hausdorff_bound,
     is_general_position,
     perturb_to_extreme,
 )
 from extremenu.presets import monopoly_cone, monopoly_space, simplex_space, space_for_preset
 from extremenu.model import unrestricted_cone
+from oracles import hausdorff_bound
 
 
 def test_few_points_always_general():
