@@ -279,7 +279,7 @@ def _certificate_block(cert: DecompositionCertificate) -> dict:
     }
 
 
-def _extremality_block(scenario, em, with_certificate=True) -> dict:
+def _extremality_block(scenario, em) -> dict:
     verdict = is_extreme_finite(em, scenario.space)
     agrees = def_polytope_cross_check(em, scenario.space)
     if agrees != verdict.extreme:
@@ -291,7 +291,7 @@ def _extremality_block(scenario, em, with_certificate=True) -> dict:
     }
     if verdict.extreme:
         block["certificate"] = "extreme - no decomposition exists (trivial nullspace)"
-    elif with_certificate:
+    else:
         cert = extract_decomposition(em, scenario.space, verdict.direction)
         block["certificate"] = _certificate_block(cert)
     return block
@@ -510,7 +510,7 @@ def main(argv=None) -> int:
     except InternalError as e:
         sys.stderr.write(f"internal invariant violation: {e}\n")
         return 2
-    except (ScenarioError, PerturbationError, planar.PlanarError, GeometryError, OSError) as e:
+    except (ScenarioError, PerturbationError, GeometryError, OSError) as e:
         sys.stderr.write(f"error: {e}\n")
         return 1
     except Exception as e:  # anything else is a fault in the core, not in the input

@@ -79,13 +79,16 @@ def facet_conditions_hold(facet_indices, space: AllocationSpace) -> bool:
 
 
 def minimal_exhaustive_subset(vertices, space: AllocationSpace, must_include=None):
-    """Greedy subset of at most d+1 of a menu's points whose touched facets
-    alone make the menu pass the rule (2 points if the veto is included).
+    """Greedy subset of a menu's points whose touched facets alone make the
+    menu pass the rule (2 points if the veto is included).
 
     While the touched normals have rank < d, adds the first point that raises
     that rank most (the scan stops at rank d); then, unless the rule holds,
     the first point after which it does. The rule reads the whole menu's
-    point count, so a menu of two or more points never reduces to one.
+    point count, so a menu of two or more points never reduces to one. Each
+    rank pick raises the rank by at least 1 and the rule adds at most one
+    point, so the subset has at most d + 1 points, or d + 2 when
+    ``must_include`` touches no facet of A.
     """
     vertices = [as_vec(v) for v in vertices]
     facet_sets = [space.facet_set(v) for v in vertices]
@@ -120,8 +123,9 @@ def minimal_exhaustive_subset(vertices, space: AllocationSpace, must_include=Non
         if best is None:
             raise geo.GeometryError("minimal_exhaustive_subset: input is not exhaustive")
         chosen.append(best)
-    if len(chosen) > space.dim + 1:
-        raise geo.InternalError("minimal subset exceeded d+1 points (internal)")
+    bound = space.dim + (2 if must_include is not None and not facet_sets[chosen[0]] else 1)
+    if len(chosen) > bound:
+        raise geo.InternalError(f"minimal subset exceeded {bound} points (internal)")
     return tuple(vertices[i] for i in chosen)
 
 

@@ -11,10 +11,10 @@ combinatorial adjacency test on incidence sets; no caller needs a face of
 another dimension. A point's decomposition into generators comes from
 Carathéodory ray shooting on the face lattice. The one LP, in
 standard form max c.x s.t. a_ub x <= b_ub, a_eq x = b_eq, x >= 0 stated as
-plain rows, serves only the monopoly forward-segment test. Floating point
-never appears. The scale target is small (ambient dimension <= 6, tens of
-generators/halfspaces), so the algorithms favour determinism and
-verifiability over asymptotics.
+plain rows, is read off the double description and serves only the monopoly
+forward-segment test. Floating point never appears. The scale target is
+small (ambient dimension <= 6, tens of generators/halfspaces), so the
+algorithms favour determinism and verifiability over asymptotics.
 
 Vectors are tuples of Fractions. A polyhedron carries both descriptions
 (irredundant halfspaces and minimal generators) plus generator/halfspace
@@ -598,7 +598,7 @@ def faces(poly: Polyhedron):
 
 
 # ---------------------------------------------------------------------------
-# exact linear programming (dictionary simplex, Bland's rule)
+# exact linear programming, read off the double description
 
 
 @dataclass(frozen=True)
@@ -606,191 +606,38 @@ class LPResult:
     status: str  # "optimal" | "infeasible" | "unbounded"
     value: Fraction | None = None
     x: tuple | None = None
-    dual: tuple = ()  # one multiplier per a_ub row, then per a_eq row
 
 
 def lp_solve(c, a_ub=(), b_ub=(), a_eq=(), b_eq=()) -> LPResult:
     """Exact LP in standard form: max c.x s.t. a_ub x <= b_ub, a_eq x = b_eq, x >= 0.
 
     Rows are sequences of ints or Fractions; a zero ``c`` asks for
-    feasibility. The optimum comes with a witness point and dual multipliers
-    y (a_ub rows, then a_eq rows); primal feasibility, y >= 0 on the a_ub
-    rows, reduced costs A^T y - c >= 0, complementary slackness on rows and
-    columns, and strong duality b.y = c.x are verified before returning.
+    feasibility. One double description of the homogenized cone x0 >= 0,
+    x >= 0, a.x <= b x0 (an equality as two rows) gives the answer: its
+    extreme rays with x0 > 0 are the vertices and those with x0 = 0 the
+    recession rays. No vertex means infeasible, a ray r with c.r > 0
+    unbounded; otherwise the optimum is the first vertex in sorted order of
+    largest value, replayed against every row before returning.
     """
     c = as_vec(c)
     n = len(c)
     a_ub, a_eq = [as_vec(r) for r in a_ub], [as_vec(r) for r in a_eq]
     b_ub, b_eq = as_vec(b_ub), as_vec(b_eq)
-    a, b = a_ub + a_eq, b_ub + b_eq
-    m, k = len(a_ub), len(a_eq)
-    if m != len(b_ub) or k != len(b_eq) or any(len(r) != n for r in a):
+    if len(a_ub) != len(b_ub) or len(a_eq) != len(b_eq) or any(len(r) != n for r in a_ub + a_eq):
         raise GeometryError("lp_solve: dimension mismatch")
-    # the dictionary holds <= rows only: an equality enters as a.x <= b, -a.x <= -b
-    neg_eq = [tuple(-v for v in r) for r in a_eq]
-    tab = _Simplex(a + neg_eq, b + tuple(-v for v in b_eq), c)
-    status = tab.solve()
-    if status != "optimal":
-        return LPResult(status)
-    x = tuple(tab.solution()[:n])
-    y = tab.duals()
-    dual = tuple(y[:m]) + tuple(y[m + i] - y[m + k + i] for i in range(k))
-    value = dot(c, x)
-    # certify optimality of (x, dual) for the problem as stated
-    slack = [bi - dot(r, x) for r, bi in zip(a, b)]
-    if any(v < 0 for v in x) or any(s < 0 for s in slack[:m]) or any(slack[m:]):
-        raise InternalError("lp_solve: primal infeasible point (internal)")
-    if any(yi < 0 for yi in dual[:m]):
-        raise InternalError("lp_solve: negative dual (internal)")
-    reduced = [sum((yi * r[j] for yi, r in zip(dual, a)), -c[j]) for j in range(n)]
-    if any(rj < 0 for rj in reduced):
-        raise InternalError("lp_solve: negative reduced cost (internal)")
-    if any(yi * si for yi, si in zip(dual, slack)) or any(
-        xj * rj for xj, rj in zip(x, reduced)
-    ):
-        raise InternalError("lp_solve: complementary slackness failed (internal)")
-    if dot(dual, b) != value:
-        raise InternalError("lp_solve: strong duality failed (internal)")
-    return LPResult("optimal", value, x, dual)
-
-
-class _Simplex:
-    """Dense dictionary simplex with Bland's rule and a Phase-I variable.
-
-    Variables are indexed 0..n-1 (structural), n..n+m-1 (slack), n+m (phase-I
-    auxiliary). The dictionary stores, for each basic variable, its affine
-    expression [const, coeff per nonbasic column] in the nonbasic variables.
-    Exact Fractions throughout; Bland's rule guarantees termination.
-    """
-
-    def __init__(self, rows, b, obj):
-        self.m = len(rows)
-        self.n = len(obj)
-        self.aux = self.n + self.m
-        self.nonbasic = list(range(self.n))
-        self.basic = [self.n + i for i in range(self.m)]
-        self.expr = [[b[i]] + [-rows[i][j] for j in range(self.n)] for i in range(self.m)]
-        self._orig_obj = [Fraction(x) for x in obj]
-        self.obj = [Fraction(0)] + list(self._orig_obj)
-
-    def solve(self) -> str:
-        if any(self.expr[i][0] < 0 for i in range(self.m)):
-            if not self._phase1():
-                return "infeasible"
-        return self._optimize()
-
-    # -- phase I ----------------------------------------------------------
-    def _phase1(self) -> bool:
-        self.nonbasic.append(self.aux)
-        for e in self.expr:
-            e.append(Fraction(1))
-        ncols = len(self.nonbasic)
-        self.obj = [Fraction(0)] * (ncols + 1)
-        self.obj[ncols] = Fraction(-1)  # maximize -aux
-        leave = min(range(self.m), key=lambda i: (self.expr[i][0], self.basic[i]))
-        self._pivot(leave, ncols - 1)
-        status = self._optimize()
-        if status != "optimal":
-            raise InternalError("phase-I unbounded (internal)")
-        if self.obj[0] != 0:
-            return False
-        if self.aux in self.basic:
-            i = self.basic.index(self.aux)
-            col = next(
-                (j for j in range(len(self.nonbasic)) if self.expr[i][j + 1] != 0), None
-            )
-            if col is None:
-                # vacuous row: aux == 0 identically
-                self.expr.pop(i)
-                self.basic.pop(i)
-                self.m -= 1
-            else:
-                self._pivot(i, col)
-        k = self.nonbasic.index(self.aux)
-        self.nonbasic.pop(k)
-        for e in self.expr:
-            e.pop(k + 1)
-        # re-express the original objective in the current nonbasic variables
-        c = self._orig_obj
-        obj = [Fraction(0)] * (len(self.nonbasic) + 1)
-        for j, var in enumerate(self.nonbasic):
-            if var < self.n:
-                obj[j + 1] += c[var]
-        for i, var in enumerate(self.basic):
-            if var < self.n and c[var] != 0:
-                coef = c[var]
-                for j in range(len(self.nonbasic) + 1):
-                    obj[j] += coef * self.expr[i][j]
-        self.obj = obj
-        return True
-
-    # -- phase II ---------------------------------------------------------
-    def _optimize(self) -> str:
-        while True:
-            enter = None
-            for j in range(len(self.nonbasic)):  # Bland: smallest entering var id
-                if self.obj[j + 1] > 0:
-                    if enter is None or self.nonbasic[j] < self.nonbasic[enter]:
-                        enter = j
-            if enter is None:
-                return "optimal"
-            leave = None
-            best = None
-            for i in range(self.m):
-                a = self.expr[i][enter + 1]
-                if a < 0:
-                    ratio = -self.expr[i][0] / a
-                    if (
-                        best is None
-                        or ratio < best
-                        or (ratio == best and self.basic[i] < self.basic[leave])
-                    ):
-                        best = ratio
-                        leave = i
-            if leave is None:
-                return "unbounded"
-            self._pivot(leave, enter)
-
-    def _pivot(self, leave: int, enter: int):
-        row = self.expr[leave]
-        a = row[enter + 1]
-        out_var = self.basic[leave]
-        in_var = self.nonbasic[enter]
-        new_row = [-x / a for x in row]
-        new_row[enter + 1] = Fraction(1) / a
-        for i in range(self.m):
-            if i == leave:
-                continue
-            coef = self.expr[i][enter + 1]
-            if coef != 0:
-                e = self.expr[i]
-                for j in range(len(row)):
-                    if j == enter + 1:
-                        e[j] = coef * new_row[j]
-                    else:
-                        e[j] += coef * new_row[j]
-        coef = self.obj[enter + 1]
-        if coef != 0:
-            for j in range(len(row)):
-                if j == enter + 1:
-                    self.obj[j] = coef * new_row[j]
-                else:
-                    self.obj[j] += coef * new_row[j]
-        self.expr[leave] = new_row
-        self.basic[leave] = in_var
-        self.nonbasic[enter] = out_var
-
-    # -- extraction --------------------------------------------------------
-    def solution(self):
-        vals = [Fraction(0)] * (self.aux + 1)
-        for i, var in enumerate(self.basic):
-            vals[var] = self.expr[i][0]
-        return vals
-
-    def duals(self):
-        """Multipliers of the slack constraints from the final objective row."""
-        y = [Fraction(0)] * (self.aux - self.n)
-        for j, var in enumerate(self.nonbasic):
-            if self.n <= var < self.aux:
-                y[var - self.n] = -self.obj[j + 1]
-        return y
+    # equalities first: while the cone still has lines each one only projects
+    # them, and the orthant and the inequality rows then cut a smaller cone
+    cons = [row for r, b in zip(a_eq, b_eq) for row in ((-b,) + r, (b,) + vscale(r, -1))]
+    cons += [(-1,) + (0,) * n] + [(0,) + tuple(-int(i == j) for j in range(n)) for i in range(n)]
+    cons += [(-b,) + r for r, b in zip(a_ub, b_ub)]
+    _, rays, _ = cone_generators(cons, n + 1)
+    vertices = sorted(tuple(Fraction(v, r[0]) for v in r[1:]) for r in rays if r[0] > 0)
+    if not vertices:
+        return LPResult("infeasible")
+    if any(_idot(c, r[1:]) > 0 for r in rays if r[0] == 0):
+        return LPResult("unbounded")
+    x = max(vertices, key=lambda v: dot(c, v))  # the first of largest value
+    if (any(v < 0 for v in x) or any(dot(r, x) > b for r, b in zip(a_ub, b_ub))
+            or any(dot(r, x) != b for r, b in zip(a_eq, b_eq))):
+        raise InternalError("lp_solve: optimum violates its rows (internal)")
+    return LPResult("optimal", dot(c, x), x)

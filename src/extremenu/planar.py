@@ -19,13 +19,9 @@ from fractions import Fraction
 from . import geometry as geo
 from .exhaustive import is_exhaustive
 from .geometry import dot, vsub
-from .model import AllocationSpace, ExtendedMenu
+from .model import AllocationSpace, ExtendedMenu, ScenarioError
 
 SENTINEL = "*"
-
-
-class PlanarError(ValueError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -122,7 +118,7 @@ def _order_vertices(em: ExtendedMenu):
 def partition_boundary(em: ExtendedMenu, space: AllocationSpace) -> BoundaryPartition:
     """Clockwise boundary partition of ext M into V, I, B1, B2."""
     if space.dim != 2:
-        raise PlanarError(f"planar classifier requires d = 2, got d = {space.dim}")
+        raise ScenarioError(f"planar classifier requires d = 2, got d = {space.dim}")
     order, sentinels = _order_vertices(em)
     ext_a = set(space.poly.points)
     corner, interior, b1, b2 = set(), set(), set(), set()
@@ -268,7 +264,7 @@ def _sin_sq(u, v) -> Fraction:
 def classify_2d(em: ExtendedMenu, space: AllocationSpace) -> PlanarVerdict:
     """Extreme iff (menu size <= 2 and exhaustive) or (size >= 3, no chain)."""
     if space.dim != 2:
-        raise PlanarError(f"classify_2d requires d = 2, got d = {space.dim}")
+        raise ScenarioError(f"classify_2d requires d = 2, got d = {space.dim}")
     if len(em.vertices) <= 2:
         return PlanarVerdict(extreme=is_exhaustive(em, space).exhaustive, method="small-menu")
     part = partition_boundary(em, space)

@@ -1,5 +1,6 @@
 import ast
 import json
+import os
 import pathlib
 import random
 import re
@@ -30,11 +31,18 @@ POSTED = {
 }
 
 
+# children import the package under test, installed or not
+SRC = str(pathlib.Path(cli.__file__).resolve().parents[1])
+CHILD_ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    p for p in (SRC, os.environ.get("PYTHONPATH")) if p))
+
+
 def run_cli(args):
     return subprocess.run(
         [sys.executable, "-m", "extremenu.cli", *args],
         capture_output=True,
         text=True,
+        env=CHILD_ENV,
     )
 
 

@@ -127,6 +127,17 @@ def test_subset_with_must_include():
     assert len(sub) <= 3
 
 
+def test_subset_with_a_facetless_must_include_takes_d_plus_two():
+    # (1/2, 1/2) is interior to the square: the two rank picks and the rule's
+    # pick come on top of it, one more point than the d + 1 bound allows
+    space = space_for_preset("cube", d=2)[0]
+    menu = [(0, F(1, 4)), (F(1, 4), 0), (1, F(1, 8)), (F(1, 2), F(1, 2))]
+    sub = minimal_exhaustive_subset(menu, space, must_include=(F(1, 2), F(1, 2)))
+    assert sub == tuple(as_vec(v) for v in menu[3:] + menu[:3])
+    binding = [i for i in range(len(space.facets)) for v in sub if space.facets[i].tight_at(v)]
+    assert facet_conditions_hold(binding, space)
+
+
 def test_singleton_subset_is_itself():
     em, space = em_of("delta3_dictator")
     assert minimal_exhaustive_subset(em.vertices, space) == em.vertices
@@ -249,8 +260,9 @@ def _former_minimal_exhaustive_subset(vertices, space, must_include=None):
         if extra is None:
             raise geo.GeometryError("minimal_exhaustive_subset: input is not exhaustive")
         chosen.append(extra)
-    if len(chosen) > d + 1:
-        raise geo.InternalError("minimal subset exceeded d+1 points (internal)")
+    bound = d + (2 if must_include is not None and not facet_sets[chosen[0]] else 1)
+    if len(chosen) > bound:
+        raise geo.InternalError(f"minimal subset exceeded {bound} points (internal)")
     if not facet_conditions_hold(facet_union(chosen), space):
         raise geo.InternalError("minimal subset failed certification (internal)")
     return tuple(vertices[i] for i in chosen)

@@ -320,15 +320,51 @@ def test_lp_without_rows():
     assert lp_solve((1, 1)).status == "unbounded"
     res = lp_solve((-1, 0))
     assert res.status == "optimal" and res.value == 0
-    assert res.x == (0, 0) and res.dual == ()
+    assert res.x == (0, 0)
     assert lp_solve(()).value == 0
+
+
+def test_lp_without_columns():
+    # n = 0: each row reads 0 <= b, so feasibility is the sign of every b
+    res = lp_solve((), a_ub=[()], b_ub=[2], a_eq=[()], b_eq=[0])
+    assert res.status == "optimal" and res.value == 0 and res.x == ()
+    assert lp_solve((), a_ub=[()], b_ub=[-1]).status == "infeasible"
+    assert lp_solve((), a_eq=[()], b_eq=[1]).status == "infeasible"
+
+
+def test_lp_zero_row_with_negative_bound_is_infeasible():
+    # 0 <= -1 forces x0 = 0 in the homogenized cone, which leaves no vertex
+    assert lp_solve((1, 0), a_ub=[(0, 0), (1, 1)], b_ub=[-1, 1]).status == "infeasible"
+    assert lp_solve((1, 1), a_ub=[(0, 0)], b_ub=[-1]).status == "infeasible"
+    assert lp_solve((1, 0), a_eq=[(0, 0)], b_eq=[1]).status == "infeasible"
+
+
+def test_lp_tie_returns_first_vertex_in_sorted_order():
+    # (0, 1) and (1, 0) both reach 1 on the facet x + y <= 1
+    res = lp_solve((1, 1), a_ub=[(1, 1)], b_ub=[1])
+    assert res.status == "optimal" and res.value == 1 and res.x == (0, 1)
+    res = lp_solve((0, 0, 0), a_ub=[(1, 1, 1)], b_ub=[1])
+    assert res.value == 0 and res.x == (0, 0, 0)
+
+
+def test_lp_replay_rejects_a_tampered_description(monkeypatch):
+    # a forged vertex x = 5 beats the true optimum x = 1 and breaks x <= 1
+    real = geo.cone_generators
+
+    def forged(constraints, n):
+        lines, rays, zero_sets = real(constraints, n)
+        return lines, rays + [(1, 5)], zero_sets + [frozenset()]
+
+    monkeypatch.setattr(geo, "cone_generators", forged)
+    with pytest.raises(geo.InternalError, match=r"lp_solve: .*\(internal\)"):
+        lp_solve((1,), a_ub=[(1,)], b_ub=[1])
 
 
 @given(st.integers(2, 3), st.randoms(use_true_random=False))
 @settings(max_examples=40, deadline=None)
-def test_lp_strong_duality_on_random_boxes(d, rnd):
-    # box lo <= x <= hi with lo >= 0 and a random objective; the certificate
-    # is also checked inside lp_solve, this exercises it end to end
+def test_lp_optimum_on_random_boxes(d, rnd):
+    # box lo <= x <= hi with lo >= 0 and a random objective: the optimum
+    # takes hi where the objective rises and lo where it falls
     a_ub, b_ub, lo, hi = [], [], [], []
     for i in range(d):
         e = [0] * d
@@ -341,8 +377,6 @@ def test_lp_strong_duality_on_random_boxes(d, rnd):
     res = lp_solve(obj, a_ub, b_ub)
     assert res.status == "optimal"
     assert res.value == sum(c * (h if c > 0 else l) for c, l, h in zip(obj, lo, hi))
-    assert all(y >= 0 for y in res.dual)
-    assert sum(y * b for y, b in zip(res.dual, b_ub)) == res.value
 
 
 def test_lp_dimension_mismatch():
@@ -363,7 +397,7 @@ _small = st.integers(-3, 3)
 
 @st.composite
 def _standard_form_lps(draw):
-    n = draw(st.integers(1, 3))
+    n = draw(st.integers(0, 3))
     row = st.lists(_small, min_size=n, max_size=n)
     a_ub = draw(st.lists(row, max_size=3))
     a_eq = draw(st.lists(row, max_size=2))
@@ -372,30 +406,42 @@ def _standard_form_lps(draw):
     return draw(row), a_ub, b_ub, a_eq, b_eq
 
 
+def _basic_solutions(rows, extra, count):
+    """Points fixed by ``count`` of the rows (as equations) plus the ``extra``
+    equations, that satisfy every row: the vertices of {x : rows, extra}."""
+    found = set()
+    for subset in combinations(rows, count):
+        eqs = list(subset) + extra
+        matrix = [r for r, _ in eqs]
+        if eqs and rank(matrix) < len(matrix[0]):
+            continue
+        x = solve_affine(matrix, [b for _, b in eqs])
+        if x is not None and all(dot(as_vec(r), x) <= b for r, b in rows):
+            found.add(x)
+    return found
+
+
 @given(_standard_form_lps())
 @settings(max_examples=300, deadline=None)
 def test_lp_matches_vertex_enumeration(lp):
-    # oracle: the double-description V-representation of the same rows
+    # oracle: basis enumeration over every n-subset of the rows, x >= 0
+    # included, on the feasible set and on its recession cone cut by sum r = 1
     c, a_ub, b_ub, a_eq, b_eq = lp
     n = len(c)
     rows = list(zip(a_ub, b_ub)) + list(zip(a_eq, b_eq))
     rows += [([-a for a in r], -b) for r, b in zip(a_eq, b_eq)]
     rows += [([-int(i == j) for i in range(n)], 0) for j in range(n)]
     res = lp_solve(c, a_ub, b_ub, a_eq, b_eq)
-    if any(not any(r) and b < 0 for r, b in rows):
-        assert res.status == "infeasible"  # 0 <= b < 0
-        return
-    poly = polyhedron_from_halfspaces(
-        [Hyperplane.make(r, b) for r, b in rows if any(r)], ambient_dim=n
-    )
-    if poly.is_empty:
+    vertices = _basic_solutions(rows, [], n)
+    rays = _basic_solutions([(r, 0) for r, _ in rows], [([1] * n, 1)], n - 1) if n else set()
+    if not vertices:
         assert res.status == "infeasible"
-    elif any(dot(as_vec(r), as_vec(c)) > 0 for r in poly.rays):
+    elif any(dot(as_vec(c), r) > 0 for r in rays):
         assert res.status == "unbounded"
     else:
-        assert res.status == "optimal"
-        assert res.value == max(dot(v, as_vec(c)) for v in poly.points)
-        assert all(x >= 0 for x in res.x) and dot(as_vec(c), res.x) == res.value
+        best = max(dot(as_vec(c), v) for v in vertices)
+        assert res.status == "optimal" and res.value == best
+        assert res.x == min(v for v in vertices if dot(as_vec(c), v) == best)
 
 
 # -- hyperplane canonical form -------------------------------------------

@@ -9,6 +9,7 @@ from extremenu.extremality import is_extreme_finite
 from extremenu.geometry import faces, vadd, vsub
 from extremenu.model import (
     Menu,
+    ScenarioError,
     allocation_space_from_points,
     extend_menu,
     extended_menu,
@@ -58,7 +59,7 @@ def test_simplex_vertex_menu_all_corners():
 
 def test_partition_requires_d2():
     case = CORPUS_BY_NAME["pyramid_delta3"]
-    with pytest.raises(planar.PlanarError):
+    with pytest.raises(ScenarioError, match="requires d = 2"):
         partition_boundary(extended_menu(case.scenario), case.scenario.space)
 
 
@@ -122,7 +123,7 @@ def test_classify_small_menu_uses_exhaustiveness():
 
 def test_classify_requires_d2():
     case = CORPUS_BY_NAME["prism_delta3"]
-    with pytest.raises(planar.PlanarError):
+    with pytest.raises(ScenarioError, match="requires d = 2"):
         classify_2d(extended_menu(case.scenario), case.scenario.space)
 
 
