@@ -466,12 +466,12 @@ def force_exhaustive(items, space: AllocationSpace, cone: TypeCone):
     movable = set(range(len(items)))
     if space.veto is not None and space.veto in items:
         movable.discard(items.index(space.veto))
-    for _ in range(2 * len(space.facets) + 2):
+    while movable:  # each pass returns, breaks, or pins one movable item
         exhaustive, binding = _exhaustive_binding(items, space, cone)
         if exhaustive:
             return list(dict.fromkeys(items))
         untouched = [f for f in range(len(space.facets)) if f not in binding]
-        if not untouched or not movable:
+        if not untouched:
             break
         f = untouched[0]
         h = space.facets[f]
@@ -481,8 +481,8 @@ def force_exhaustive(items, space: AllocationSpace, cone: TypeCone):
             break
         items[cand] = moved
         movable.discard(cand)
-    # fallback: pin the first movable item at a vertex, a second on a facet
-    # missing that vertex
+    # fallback: pin the first movable item at a vertex, a second on the first
+    # facet missing that vertex whose projection stays in A
     if _exhaustive_binding(items, space, cone)[0]:
         return list(dict.fromkeys(items))
     movable = sorted(set(range(len(items))) - ({items.index(space.veto)} if space.veto in items else set()))
@@ -491,9 +491,11 @@ def force_exhaustive(items, space: AllocationSpace, cone: TypeCone):
     vtx = space.poly.points[0]
     items[movable[0]] = vtx
     if len(items) > 1:
-        vertex_facets = space.facet_set(vtx)
-        f = next(i for i in range(len(space.facets)) if i not in vertex_facets)
-        items[movable[1]] = space.facets[f].project(items[movable[1]])
+        projected = (h.project(items[movable[1]]) for f, h in enumerate(space.facets)
+                     if f not in space.poly.incidence[0])  # the facets missing vtx
+        items[movable[1]] = next((p for p in projected if space.contains(p)), None)
+        if items[movable[1]] is None:
+            raise ScenarioError("exhaustiveness forcing failed: no facet projection stays in A")
     items = list(dict.fromkeys(items))
     if not _exhaustive_binding(items, space, cone)[0]:
         raise ScenarioError("exhaustiveness forcing failed")

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import geometry as geo
-from .geometry import Fraction, as_vec, nullspace_basis, rank, solve_affine
+from .geometry import as_vec, nullspace_basis, rank, solve_affine
 from .kernels import rref_sparse
 from .model import AllocationSpace, ExtendedMenu
 
@@ -140,10 +140,10 @@ def homothety_cross_check(em: ExtendedMenu, space: AllocationSpace) -> bool:
     if len(em.vertices) < 2:
         raise geo.GeometryError("homothety_cross_check needs a non-singleton menu")
     active = []
-    for i, h in enumerate(space.facets):
-        support = max(h.value(v) for v in em.vertices)
+    normals = [h.normal for h in space.facets]
+    for h, support in zip(space.facets, geo.support_values(em.vertices, normals)):
         if support > h.offset:
             raise geo.InternalError("menu escapes the allocation space (internal)")
         if support == h.offset:
-            active.append((support,) + tuple(map(Fraction, h.normal)))
+            active.append((support,) + h.normal)
     return rank(active) == space.dim + 1

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 
 from . import geometry as geo
 from .geometry import as_vec, is_zero, vadd, vscale, vsub
@@ -154,28 +153,6 @@ def extract_decomposition(
     return cert
 
 
-def _int_menu(items):
-    """Scale a rational menu to an integer matrix; returns (rows, scale)."""
-    scale = 1
-    for v in items:
-        for c in v:
-            scale = scale * c.denominator // gcd(scale, c.denominator)
-    rows = [tuple(int(c * scale) for c in v) for v in items]
-    return rows, scale
-
-
-def _isupport(rows, normal):
-    """Exact integer support value max_r r . normal."""
-    best = None
-    for r in rows:
-        s = 0
-        for a, b in zip(r, normal):
-            s += a * b
-        if best is None or s > best:
-            best = s
-    return best
-
-
 def _require_direction_in_nullspace(em, space, direction):
     """The deformation equations, read off M: psi_i - psi_j = mu_k (v_i - v_j)
     on each bounded edge k = (i, j), and n_f . psi_i = 0 for f in F(v_i)."""
@@ -213,7 +190,8 @@ def verify_certificate(cert: DecompositionCertificate, em: ExtendedMenu, space: 
 
     (a) h_P(n) + h_Q(n) = 2 h_M(n) for every halfspace n . x <= b of M
         (facets and affine-hull cutters), so every pairwise midpoint lies in
-        M and (P + Q) / 2 is inside M;
+        M and (P + Q) / 2 is inside M. Every halfspace of M is tight at a
+        vertex, so h_M(n) is its offset b;
     (b) every vertex v of M has some p in menu_plus with 2v - p in
         menu_minus, so every vertex is a midpoint and M is inside (P + Q) / 2.
     """
@@ -225,22 +203,17 @@ def verify_certificate(cert: DecompositionCertificate, em: ExtendedMenu, space: 
         if len(set(items)) != len(items):
             return VerificationResult(False, f"duplicate items in menu_{name}")
         for p in items:
-            for h in space.facets:
-                if not h.contains(p):
-                    return VerificationResult(False, f"menu_{name} item {p} outside A")
+            if not space.contains(p):
+                return VerificationResult(False, f"menu_{name} item {p} outside A")
     if space.veto is not None:
         if space.veto not in plus or space.veto not in minus:
             return VerificationResult(False, "veto allocation missing from a summand (IR)")
     if set(plus) == set(minus):
         return VerificationResult(False, "summands are identical")
-    rows_m, s_m = _int_menu(em.vertices)
-    rows_p, s_p = _int_menu(plus)
-    rows_n, s_n = _int_menu(minus)
-    for h in em.poly.halfspaces:
-        h_m = Fraction(_isupport(rows_m, h.normal), s_m)
-        h_p = Fraction(_isupport(rows_p, h.normal), s_p)
-        h_n = Fraction(_isupport(rows_n, h.normal), s_n)
-        if h_p + h_n != 2 * h_m:
+    hs = em.poly.halfspaces
+    normals = [h.normal for h in hs]
+    for h, h_p, h_n in zip(hs, geo.support_values(plus, normals), geo.support_values(minus, normals)):
+        if h_p + h_n != 2 * h.offset:
             return VerificationResult(False, "support identity failed")
     minus_set = set(minus)
     for v in em.vertices:

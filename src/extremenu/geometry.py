@@ -6,13 +6,14 @@ integer elimination, incidence by cross-multiplying an integer numerator and
 denominator of normal . x with the offset. V -> H takes no rank and no
 incidence test: the double description's zero sets give each generator's
 tight halfspaces, and minimal generators are those whose tight set no other
-generator's contains. ``faces`` returns the edges only, from the
-combinatorial adjacency test on incidence sets; no caller needs a face of
-another dimension. A point's decomposition into generators comes from
-Carathéodory ray shooting on the face lattice. The one LP, in
-standard form max c.x s.t. a_ub x <= b_ub, a_eq x = b_eq, x >= 0 stated as
-plain rows, is read off the double description and serves only the monopoly
-forward-segment test. Floating point never appears. The scale target is
+generator's contains. ``faces`` returns the edges only, as generator index
+pairs from the combinatorial adjacency test on incidence sets, and
+``support_values`` is the one exact support function of a point set. A
+point's decomposition into generators comes from Carathéodory ray shooting
+on the face lattice. The one LP, in standard form max c.x s.t. a_ub x <=
+b_ub, a_eq x = b_eq, x >= 0 stated as plain rows, is read off the double
+description and serves only the monopoly forward-segment test. Floating
+point never appears. The scale target is
 small (ambient dimension <= 6, tens of generators/halfspaces), so the
 algorithms favour determinism and verifiability over asymptotics.
 
@@ -45,15 +46,18 @@ class InternalError(GeometryError):
 
 
 def frac(x) -> Fraction:
-    """Coerce an int, Fraction, or 'p/q' string to an exact Fraction."""
+    """Coerce an int (not a bool), Fraction, or 'p/q' string to an exact Fraction."""
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, str):
+    if type(x) is int:
         return Fraction(x)
     if isinstance(x, float):
         raise GeometryError(f"refusing float {x!r}: exact rationals only")
+    if isinstance(x, str):
+        try:
+            return Fraction(x)
+        except (ValueError, ZeroDivisionError):
+            pass
     raise GeometryError(f"cannot interpret {x!r} as a rational")
 
 
@@ -264,7 +268,7 @@ def cone_generators(constraints, n: int):
             # trivially satisfied; tight everywhere
             rays = [(r, z | {k}) for r, z in rays]
             continue
-        lvals = [_idot(a, l) for l in lines]
+        lvals = [idot(a, l) for l in lines]
         hit = next((i for i, v in enumerate(lvals) if v != 0), None)
         if hit is not None:
             l0 = lines[hit]
@@ -282,7 +286,7 @@ def cone_generators(constraints, n: int):
                     new_lines.append(primitive([d0 * x - lvals[i] * y for x, y in zip(l, l0)]))
             new_rays = []
             for r, z in rays:
-                rv = _idot(a, r)
+                rv = idot(a, r)
                 if rv == 0:
                     new_rays.append((r, z | {k}))
                 else:
@@ -294,7 +298,7 @@ def cone_generators(constraints, n: int):
             lines = new_lines
             rays = new_rays
         else:
-            vals = [_idot(a, r) for r, _ in rays]
+            vals = [idot(a, r) for r, _ in rays]
             neg = [i for i, v in enumerate(vals) if v < 0]
             zero = [i for i, v in enumerate(vals) if v == 0]
             pos = [i for i, v in enumerate(vals) if v > 0]
@@ -333,8 +337,16 @@ def _adjacent(zsets, i, j) -> bool:
     return not any(common <= z for g, z in enumerate(zsets) if g != i and g != j)
 
 
-def _idot(a, b):
+def idot(a, b):
     return sum(x * y for x, y in zip(a, b))
+
+
+def support_values(points, normals) -> list:
+    """Exact support values max_p n.p of a finite point set, one per integer
+    normal n; the points are scaled to one integer matrix once."""
+    scale = lcm(*(c.denominator for p in points for c in p))
+    rows = [[c.numerator * (scale // c.denominator) for c in p] for p in points]
+    return [Fraction(max(idot(n, r) for r in rows), scale) for n in normals]
 
 
 def _canonical_lines(lines, n):
@@ -429,7 +441,7 @@ def caratheodory_decomposition(poly: Polyhedron, x):
         zero = frozenset(i for i, v in enumerate(vals) if v == 0)
         j = next(j for j, r in enumerate(poly.rays) if zero <= poly.incidence[n_pts + j])
         r = poly.rays[j]
-        s = min(v / nr for v, h in zip(vals, hs) if (nr := _idot(h.normal, r)) < 0)
+        s = min(v / nr for v, h in zip(vals, hs) if (nr := idot(h.normal, r)) < 0)
         mu[j] = scale * s
         u = vsub(u, vscale(r, s))
     vertex_weights, ray_weights = tuple(sorted(lam.items())), tuple(sorted(mu.items()))
@@ -472,7 +484,7 @@ def polyhedron_from_generators(points, rays=()) -> Polyhedron:
     return _assemble(pts, rys, d)
 
 
-def polyhedron_from_halfspaces(halfspaces, ambient_dim=None) -> Polyhedron:
+def polyhedron_from_halfspaces(halfspaces) -> Polyhedron:
     """Vertex/ray enumeration for an intersection of halfspaces.
 
     An empty intersection yields an explicit empty Polyhedron. A feasible set
@@ -481,7 +493,7 @@ def polyhedron_from_halfspaces(halfspaces, ambient_dim=None) -> Polyhedron:
     hs = [h if isinstance(h, Hyperplane) else Hyperplane.make(*h) for h in halfspaces]
     if not hs:
         raise GeometryError("halfspace input must be nonempty")
-    d = hs[0].dim if ambient_dim is None else ambient_dim
+    d = hs[0].dim
     for h in hs:
         if h.dim != d:
             raise GeometryError("halfspace dimensions disagree")
@@ -563,10 +575,10 @@ def _check_polyhedron(poly, original_pts, original_rys):
         c = h.offset
         y = (-c.numerator,) + tuple(c.denominator * a for a in h.normal)
         for p, hp in zip(original_pts, hom):
-            if _idot(y, hp) > 0:
+            if idot(y, hp) > 0:
                 raise InternalError(f"generator {p} violates halfspace {h} (internal)")
         for r in original_rys:
-            if _idot(h.normal, r) > 0:
+            if idot(h.normal, r) > 0:
                 raise InternalError(f"ray {r} violates halfspace {h} (internal)")
     if not poly.points:
         raise InternalError("pointed polyhedron lost all vertices (internal)")
@@ -576,25 +588,18 @@ def _check_polyhedron(poly, original_pts, original_rys):
 # edges
 
 
-@dataclass(frozen=True)
-class Face:
-    generator_indices: tuple
-    bounded: bool
-
-
 def faces(poly: Polyhedron):
-    """The 1-faces (edges), as generator index pairs i < j with i a vertex.
+    """The 1-faces (edges), as sorted generator index pairs (i, j), i < j.
 
     The combinatorial adjacency test (Fukuda & Prodon 1996, *Double
     description method revisited*): generators i < j, at least one a vertex,
     span an edge iff no other generator is tight on every halfspace tight at
-    both. An edge is bounded when j is a vertex too, else it is the ray j
-    leaving vertex i.
+    both. Vertices come first, so i is a vertex; the edge is bounded when
+    j < len(poly.points), else it is the ray j leaving vertex i.
     """
     inc = poly.incidence
     n_pts = len(poly.points)
-    return [Face(generator_indices=(i, j), bounded=j < n_pts)
-            for i in range(n_pts) for j in range(i + 1, len(inc)) if _adjacent(inc, i, j)]
+    return [(i, j) for i in range(n_pts) for j in range(i + 1, len(inc)) if _adjacent(inc, i, j)]
 
 
 # ---------------------------------------------------------------------------
@@ -634,7 +639,7 @@ def lp_solve(c, a_ub=(), b_ub=(), a_eq=(), b_eq=()) -> LPResult:
     vertices = sorted(tuple(Fraction(v, r[0]) for v in r[1:]) for r in rays if r[0] > 0)
     if not vertices:
         return LPResult("infeasible")
-    if any(_idot(c, r[1:]) > 0 for r in rays if r[0] == 0):
+    if any(idot(c, r[1:]) > 0 for r in rays if r[0] == 0):
         return LPResult("unbounded")
     x = max(vertices, key=lambda v: dot(c, v))  # the first of largest value
     if (any(v < 0 for v in x) or any(dot(r, x) > b for r, b in zip(a_ub, b_ub))

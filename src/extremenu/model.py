@@ -29,8 +29,8 @@ class ScenarioError(ValueError):
     """Scenario validation failure with a human-readable diagnostic."""
 
 
-def render_linear(normal, offset, relation="<=") -> str:
-    """Pretty-print n.x <relation> c with coordinates named a1..ad."""
+def render_linear(normal, offset) -> str:
+    """Pretty-print n.x <= c with coordinates named a1..ad."""
     terms = []
     for i, c in enumerate(normal):
         if c == 0:
@@ -44,7 +44,7 @@ def render_linear(normal, offset, relation="<=") -> str:
             sign = "- " if c < 0 else ("+ " if terms else "")
             terms.append(f"{sign}{abs(c)}*{name}")
     lhs = " ".join(terms) if terms else "0"
-    return f"{lhs} {relation} {offset}"
+    return f"{lhs} <= {offset}"
 
 
 # ---------------------------------------------------------------------------
@@ -53,22 +53,25 @@ def render_linear(normal, offset, relation="<=") -> str:
 
 @dataclass(frozen=True)
 class AllocationSpace:
-    """Bounded full-dimensional polytope A with its facet list and veto."""
+    """Bounded full-dimensional polytope A with its veto."""
 
     poly: Polyhedron
-    facets: tuple
     veto: tuple | None
 
     @property
     def dim(self) -> int:
         return self.poly.ambient_dim
 
+    @property
+    def facets(self) -> tuple:
+        return self.poly.halfspaces
+
     def facet_set(self, x) -> frozenset:
         """Indices of facets of A containing the point x."""
-        return frozenset(i for i, h in enumerate(self.facets) if h.tight_at(x))
+        return self.poly.tight_set(x)
 
     def contains(self, x) -> bool:
-        return all(h.contains(x) for h in self.facets)
+        return self.poly.contains(x)
 
     def step_bound(self, moves) -> Fraction:
         """Largest eps <= 1 with p + eps t and p - eps t in A for every (p, t)
@@ -124,7 +127,7 @@ def _finish_space(poly: Polyhedron, veto) -> AllocationSpace:
         veto = as_vec(veto)
         if veto not in poly.points:
             raise ScenarioError(f"veto allocation {veto} is not a vertex of A")
-    return AllocationSpace(poly=poly, facets=poly.halfspaces, veto=veto)
+    return AllocationSpace(poly=poly, veto=veto)
 
 
 # ---------------------------------------------------------------------------
@@ -145,7 +148,7 @@ class TypeCone:
 
     def contains(self, theta) -> bool:
         """theta in cone(rays), tested against the polar description."""
-        return all(geo._idot(theta, r) <= 0 for r in self.polar_rays)
+        return all(geo.idot(theta, r) <= 0 for r in self.polar_rays)
 
 
 def polar_cone(rays):
@@ -171,7 +174,7 @@ def polar_cone(rays):
     if polar:
         lines2, rays2, _ = geo.cone_generators(polar, d)
         for r2 in rays2:
-            if any(geo._idot(r2, p) > 0 for p in polar):
+            if any(geo.idot(r2, p) > 0 for p in polar):
                 raise geo.InternalError("double polar escaped the cone (internal)")
         if not rays2 and not lines2:
             raise geo.InternalError("double polar collapsed (internal)")
@@ -310,12 +313,10 @@ def validate_scenario(space, cone, menu_items, objective=None, label="") -> Scen
         if p in seen:
             raise ScenarioError(f"duplicate menu item {p}")
         seen.add(p)
-        for h in space.facets:
-            if not h.contains(p):
-                raise ScenarioError(
-                    f"item {tuple(map(str, p))} violates facet "
-                    f"{render_linear(h.normal, h.offset)}"
-                )
+        if not space.contains(p):
+            h = next(h for h in space.facets if not h.contains(p))
+            raise ScenarioError(f"item {tuple(map(str, p))} violates facet "
+                                f"{render_linear(h.normal, h.offset)}")
         items.append(p)
     if not items:
         raise ScenarioError("menu must contain at least one item")
@@ -344,20 +345,13 @@ def extend_menu(menu: Menu, cone: TypeCone, space: AllocationSpace) -> ExtendedM
     """
     poly = geo.polyhedron_from_generators(menu.items, cone.polar_rays)
     vertices = poly.points
-    edges = []
-    for f in geo.faces(poly):
-        if f.bounded:
-            i, j = f.generator_indices
-            edges.append((i, j))
-            if j >= len(vertices):
-                raise geo.InternalError("bounded edge touched a ray (internal)")
-    edges.sort()
+    edges = tuple((i, j) for i, j in geo.faces(poly) if j < len(vertices))
     incid = tuple(space.facet_set(v) for v in vertices)
     binding = frozenset().union(*incid) if incid else frozenset()
     return ExtendedMenu(
         poly=poly,
         vertices=vertices,
-        edges=tuple(edges),
+        edges=edges,
         facet_incidence=incid,
         binding=binding,
         items=tuple(menu.items),

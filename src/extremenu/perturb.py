@@ -120,7 +120,9 @@ def perturb_to_extreme(menu: Menu, space: AllocationSpace, cone: TypeCone, delta
             extremality=verdict,
         )
 
-    core = list(minimal_exhaustive_subset(em.vertices, space, must_include=space.veto))
+    # the core is drawn from M's vertices, so an absorbed veto is not pinned
+    veto = space.veto if space.veto in em.vertices else None
+    core = list(minimal_exhaustive_subset(em.vertices, space, must_include=veto))
     rng = random.Random(seed)
     last_error = "retry budget exhausted"
     for attempt in range(MAX_RETRIES):

@@ -98,9 +98,8 @@ def _order_vertices(em: ExtendedMenu):
     if len(ends) != 2:
         raise geo.InternalError("planar path structure violated (internal)")
     end_ray = {}
-    for f in geo.faces(em.poly):
-        if not f.bounded:
-            i, j = f.generator_indices
+    for i, j in geo.faces(em.poly):
+        if j >= n:
             end_ray.setdefault(i, em.poly.rays[j - n])
     for start in ends:
         if start not in end_ray:
@@ -245,7 +244,7 @@ def _facet_corners(space: AllocationSpace, f):
     """The two corners of A on facet f in clockwise order: walking clockwise,
     the outward normal points left of the step from the first to the second."""
     h = space.facets[f]
-    ends = [p for p in space.poly.points if h.tight_at(p)]
+    ends = [p for p, inc in zip(space.poly.points, space.poly.incidence) if f in inc]
     if len(ends) != 2:
         raise geo.InternalError("planar facet without two corners (internal)")
     a, b = ends

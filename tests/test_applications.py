@@ -26,6 +26,7 @@ from extremenu.model import (
     ConstantObjective,
     Menu,
     ScenarioError,
+    allocation_space_from_points,
     extend_menu,
     extended_menu,
     unrestricted_cone,
@@ -349,6 +350,31 @@ def test_force_exhaustive_matches_former_loop_duplicate_free():
                     assert new == list(dict.fromkeys(old))
                     validate_scenario(space, cone, new)  # duplicate-free, inside A
     assert raised and duplicated
+
+
+def test_fallback_projects_only_where_a_holds_the_result():
+    # both menus reach the fallback, which pins (-3, -2) resp. (-3, -1), a
+    # vertex of A; the first facet missing it would project the second item
+    # to (-149/136, -3) resp. (-2, 3), outside A
+    cone = unrestricted_cone(2)
+    space = allocation_space_from_points([(-3, -2), (-1, -3), (0, 3), (2, 1), (3, -3)])
+    forced = force_exhaustive([(F(5, 9), F(-17, 9)), (F(1, 6), F(5, 12))], space, cone)
+    assert forced == [(-3, -2), (F(149, 408), F(1075, 408))]
+    validate_scenario(space, cone, forced)  # inside A
+    triangle = allocation_space_from_points([(-3, -1), (1, 3), (3, 3)])
+    with pytest.raises(ScenarioError, match="no facet projection stays in A"):
+        force_exhaustive([(F(1, 3), F(5, 3)), (F(-2), F(0))], triangle, cone)
+
+
+def test_forcing_runs_until_no_item_is_movable():
+    # twelve items in the one-good monopoly space: forcing needs more passes
+    # than twice the facet count plus two, a cap the loop no longer has
+    space, cone = space_for_preset("monopoly", d=2)
+    items = apps.sample_menu("monopoly", 2, 12, apps._instance_rng(17, 10))
+    forced = force_exhaustive(items, space, cone)
+    assert 2 * len(space.facets) + 2 < len(items)
+    em = extended_menu(validate_scenario(space, cone, forced))
+    assert is_exhaustive(em, space).exhaustive
 
 
 @st.composite

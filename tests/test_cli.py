@@ -463,6 +463,21 @@ def test_perturb_command(tmp_path):
     assert rep["perturbation"]["certified_extreme"] is True
 
 
+def test_perturb_with_an_absorbed_veto_names_the_failure(tmp_path):
+    # the origin veto is absorbed into M, so it is no vertex to pin the core on
+    path = write_scenario(tmp_path, {
+        "space": {"preset": "monopoly", "m": 2, "kappa": 1},
+        "cone": "monopoly",
+        "menu": [["0", "0", "0"], ["0", "7/8", "7/16"], ["0", "1", "15/16"],
+                 ["15/16", "0", "11/16"], ["0", "7/16", "0"], ["3/4", "13/16", "1"],
+                 ["0", "15/16", "11/16"]],
+    })
+    r = run_cli(["perturb", path, "--delta", "1/20"])
+    assert r.returncode == 1
+    assert r.stderr.startswith("error: no extreme perturbation found")
+    assert "perturbed item absorbed" in r.stderr
+
+
 def test_delegation_command(tmp_path):
     path = write_scenario(tmp_path, {
         "space": {"preset": "simplex", "d": 2},

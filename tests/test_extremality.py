@@ -149,6 +149,15 @@ def test_every_shifted_summand_item_rejected_on_corpus():
     assert rejected == tried == 360
 
 
+def test_support_of_m_is_its_halfspace_offset_on_corpus():
+    # verify_certificate reads h_M(n) off M's halfspace n.x <= b: each one is
+    # tight at a vertex of M, so max over the vertices of n.v is b
+    for case in CORPUS:
+        em = extended_menu(case.scenario)
+        hs = em.poly.halfspaces
+        assert geo.support_values(em.vertices, [h.normal for h in hs]) == [h.offset for h in hs]
+
+
 def test_certificate_without_veto_rejected():
     sc, em = em_of("monopoly_three_item")
     verdict = is_extreme_finite(em, sc.space)

@@ -10,7 +10,6 @@ from corpus import CORPUS
 
 from extremenu import geometry as geo
 from extremenu.geometry import (
-    Face,
     GeometryError,
     Hyperplane,
     as_vec,
@@ -158,18 +157,16 @@ def test_duplicate_points_are_deduplicated():
 
 def test_square_faces():
     poly = polyhedron_from_halfspaces(SQUARE_HS)
-    edges = faces(poly)
-    assert [f.generator_indices for f in edges] == [(0, 1), (0, 2), (1, 3), (2, 3)]
-    assert all(f.bounded for f in edges)
+    assert faces(poly) == [(0, 1), (0, 2), (1, 3), (2, 3)]  # all between vertices
 
 
 def test_monopoly_menu_edges():
     poly = polyhedron_from_generators([(0, 0), (1, F(1, 2))], [(-1, 0), (1, 1)])
-    one_faces = faces(poly)
-    bounded = [f for f in one_faces if f.bounded]
-    unbounded = [f for f in one_faces if not f.bounded]
+    n = len(poly.points)
+    bounded = [(i, j) for i, j in faces(poly) if j < n]
+    unbounded = [(i, j) for i, j in faces(poly) if j >= n]
     assert len(bounded) == 1 and len(unbounded) == 2
-    assert bounded[0].generator_indices == (0, 1)
+    assert bounded[0] == (0, 1)
 
 
 # -- round trip property -------------------------------------------------
@@ -475,6 +472,12 @@ def test_float_coordinates_rejected():
         geo.frac(0.5)
 
 
+@pytest.mark.parametrize("bad", [True, False, "abc", "1/0", "", None])
+def test_frac_rejects_what_is_no_rational(bad):
+    with pytest.raises(GeometryError, match=f"cannot interpret {bad!r} as a rational"):
+        geo.frac(bad)
+
+
 # -- integer incidence tests ---------------------------------------------
 
 # plain ints, zeros, negatives, small mixed denominators, and large ones
@@ -505,6 +508,17 @@ def test_integer_incidence_matches_fraction_dot(data):
         assert g.tight_at(x) == (ref == g.offset)
 
 
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_support_values_match_fraction_dots(data):
+    d = data.draw(st.integers(1, 5))
+    points = data.draw(st.lists(st.lists(COORDS, min_size=d, max_size=d), min_size=1, max_size=6))
+    normals = data.draw(st.lists(st.lists(st.integers(-9, 9), min_size=d, max_size=d), max_size=4))
+    values = geo.support_values(points, normals)
+    assert values == [max(dot(n, p) for p in points) for n in normals]
+    assert all(type(v) is F for v in values)
+
+
 def test_incidence_tests_reject_dimension_mismatch():
     h = Hyperplane.make((1, 0), 1)
     for test in (h.value, h.contains, h.tight_at):
@@ -529,14 +543,14 @@ def closure_edges(poly):
         frontier = {a & b for a in frontier for b in sets} - sets
         sets |= frontier
     n = len(poly.points)
-    found = {}
+    found = set()
     for act in sets:
         gens = tuple(i for i, z in enumerate(poly.incidence) if act <= z)
         pts = [poly.points[i] for i in gens if i < n]
         rys = [poly.rays[i - n] for i in gens if i >= n]
         if pts and span_dim(pts, rys) == 1:
-            found[gens] = Face(gens, not rys)
-    return sorted(found.values(), key=lambda f: f.generator_indices)
+            found.add(gens)
+    return sorted(found)
 
 
 def edges_by_rank_definition(poly):
@@ -558,7 +572,7 @@ def edges_by_rank_definition(poly):
             pts = [poly.points[g] for g in (i, j) if g < n]
             rys = [poly.rays[g - n] for g in (i, j) if g >= n]
             if span_dim(pts, rys) == 1:
-                out.append(Face((i, j), not rys))
+                out.append((i, j))
     return out
 
 
@@ -610,10 +624,10 @@ def test_edges_match_rank_definition(gens):
 def test_lower_dimensional_edges():
     # a segment in R^3 has one edge; a square in a plane of R^4 has four
     seg = polyhedron_from_generators([(0, 0, 0), (1, 2, 3), (2, 4, 6)])
-    assert [f.generator_indices for f in faces(seg)] == [(0, 1)]
+    assert faces(seg) == [(0, 1)]
     square = polyhedron_from_generators([(0, 0, 0, 0), (1, 0, 1, 0), (0, 1, 0, 1), (1, 1, 1, 1)])
     assert square.dim == 2
-    assert [f.generator_indices for f in faces(square)] == [(0, 1), (0, 2), (1, 3), (2, 3)]
+    assert faces(square) == [(0, 1), (0, 2), (1, 3), (2, 3)]
     assert faces(square) == edges_by_rank_definition(square)
 
 

@@ -1,6 +1,7 @@
 """Every import in the package sits at module level and is used there, every
-private module-level function or class is referenced somewhere in it, and
-every name that ``__init__.py`` re-exports is read by some other module.
+private module-level function or class is referenced somewhere in it, no
+module reads another module's private name, and every name that
+``__init__.py`` re-exports is read by some other module.
 
 No linter ships with the project, so this is the check for orphaned imports
 and helpers.
@@ -83,6 +84,10 @@ def test_no_imports_inside_functions(path):
     assert nested_imports(path.read_text(encoding="utf-8")) == []
 
 
+def _private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
 def unreferenced_private_defs(sources: dict) -> list:
     """Private (single underscore) module-level functions and classes whose
     name no other top-level statement of any module reads, as a Name or as an
@@ -93,7 +98,7 @@ def unreferenced_private_defs(sources: dict) -> list:
               if isinstance(n, (ast.Name, ast.Attribute))} for _, node in statements]
     return sorted(f"{module}.{node.name}" for k, (module, node) in enumerate(statements)
                   if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-                  and node.name.startswith("_") and not node.name.startswith("__")
+                  and _private(node.name)
                   and not any(node.name in seen for j, seen in enumerate(names) if j != k))
 
 
@@ -115,6 +120,46 @@ def test_checker_flags_an_unreferenced_private_def():
 def test_no_unreferenced_private_defs():
     sources = {p.stem: p.read_text(encoding="utf-8") for p in MODULES + [Path(extremenu.__file__)]}
     assert unreferenced_private_defs(sources) == []
+
+
+def foreign_private_reads(sources: dict) -> list:
+    """Private (single underscore) names that a module reads from another
+    package module, by ``from .m import _name`` or as ``m._name`` on a module
+    ``m`` bound by ``from . import m``."""
+    out = []
+    for module, source in sorted(sources.items()):
+        tree = ast.parse(source)
+        modules = set()
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.level:
+                for alias in node.names:
+                    if node.module is None:
+                        modules.add(alias.asname or alias.name)
+                    elif _private(alias.name):
+                        out.append(f"{module}: {node.module}.{alias.name}")
+        out += [f"{module}: {n.value.id}.{n.attr}" for n in ast.walk(tree)
+                if isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name)
+                and n.value.id in modules and _private(n.attr)]
+    return sorted(out)
+
+
+def test_checker_flags_a_foreign_private_read():
+    sources = {
+        "a": "def _own():\n    return 1\nx = _own()\n",
+        "b": (
+            "from . import a as alias\n"
+            "from .a import _own, public\n"
+            "class C:\n"
+            "    def f(self):\n"
+            "        return self._state, alias._own(), alias.__name__, alias.public\n"
+        ),
+    }
+    assert foreign_private_reads(sources) == ["b: a._own", "b: alias._own"]
+
+
+def test_no_foreign_private_reads():
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in MODULES + [Path(extremenu.__file__)]}
+    assert foreign_private_reads(sources) == []
 
 
 def unreferenced_reexports(init_source: str, sources: dict) -> list:

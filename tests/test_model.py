@@ -44,6 +44,11 @@ def test_item_outside_simplex_names_facet():
         validate_scenario(simplex_space(2), unrestricted_cone(2), [(2, 0)])
 
 
+def test_bool_coordinate_rejected():
+    with pytest.raises(geo.GeometryError, match="cannot interpret True as a rational"):
+        validate_scenario(simplex_space(2), unrestricted_cone(2), [(True, F(1, 2))])
+
+
 def test_monopoly_preset_with_veto_validates():
     space = monopoly_space(2, 2)
     sc = validate_scenario(space, monopoly_cone(2), [(0, 0, 0), (1, 1, F(3, 2))])

@@ -228,8 +228,7 @@ def test_order_vertices_walks_clockwise(name, cone, data):
         triples = zip(walk, walk[1:] + walk[:1], walk[2:] + walk[:2]) if len(walk) > 2 else ()
     elif len(walk) > 1:
         # the path comes in along the start's unbounded edge, goes out along the end's
-        ray_at = {f.generator_indices[0]: em.poly.rays[f.generator_indices[1] - len(vs)]
-                  for f in faces(em.poly) if not f.bounded}
+        ray_at = {i: em.poly.rays[j - len(vs)] for i, j in faces(em.poly) if j >= len(vs)}
         walk = [vadd(walk[0], ray_at[order[0]])] + walk + [vadd(walk[-1], ray_at[order[-1]])]
         triples = zip(walk, walk[1:], walk[2:])
     else:
