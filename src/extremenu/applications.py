@@ -394,6 +394,7 @@ class ExperimentSummary:
     exhaustive_after_forcing: int
     extreme: int
     mean_nullity: Fraction
+    forcing_failed: int  # samples force_exhaustive could not make exhaustive
 
     @property
     def extreme_fraction(self) -> Fraction:
@@ -511,6 +512,7 @@ def genericity_experiment(preset: str, d: int, k: int, samples: int, seed: int) 
     space, cone = space_for_preset(preset, d=d)
     n_exhaustive = 0
     n_extreme = 0
+    n_failed = 0
     nullity_total = 0
     for i in range(samples):
         rng = _instance_rng(seed, i)
@@ -518,6 +520,7 @@ def genericity_experiment(preset: str, d: int, k: int, samples: int, seed: int) 
         try:
             items = force_exhaustive(items, space, cone)
         except ScenarioError:
+            n_failed += 1
             continue
         sc = validate_scenario(space, cone, dict.fromkeys(tuple(p) for p in items))
         em = extended_menu(sc)
@@ -538,4 +541,5 @@ def genericity_experiment(preset: str, d: int, k: int, samples: int, seed: int) 
         exhaustive_after_forcing=n_exhaustive,
         extreme=n_extreme,
         mean_nullity=mean_nullity,
+        forcing_failed=n_failed,
     )

@@ -446,6 +446,7 @@ def run_experiment(flags) -> dict:
         "samples": summary.samples,
         "seed": summary.seed,
         "exhaustive_after_forcing": summary.exhaustive_after_forcing,
+        "forcing_failed": summary.forcing_failed,
         "extreme": summary.extreme,
         "extreme_fraction": fmt_q(summary.extreme_fraction),
         "mean_nullspace_dimension": fmt_q(summary.mean_nullity),

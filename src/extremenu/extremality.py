@@ -11,6 +11,20 @@ system: it checks the two equation families on M's own edges and facet
 incidences, and steps by AllocationSpace.step_bound, the feasible-step bound
 that exhaustiveness also uses for its translation witness.
 
+Many menus are decided without the system, by the paper's theorem that an
+exhaustive menu whose extension M is indecomposable is an extreme point
+(indecomposable bodies: Gale 1954, *Irreducible convex sets*), with
+indecomposability shown by a chain of triangles (Shephard 1963, *Decomposable
+convex polyhedra*). No three vertices of M are collinear, so on a triangle
+a, b, c of M's bounded edge graph the three edge equations sum to
+(mu_ab - mu_ca)(a - b) + (mu_bc - mu_ca)(b - c) = 0: the three scales equal
+one lam and psi_i = lam v_i + t on the triangle. Triangles that share an edge
+share lam and t, so each rigid component (triangles merged along shared
+edges) moves as one homothety. When one component holds every vertex, the
+facet equations reduce to lam c_f + n_f . t = 0 over the binding facets
+n_f . x <= c_f, so the nullity is d + 1 - rank [c_f | n_f], and it is 0
+exactly when the exhaustiveness rule holds.
+
 The independent cross-check encodes the same question as a vertex test on
 the lifted deformation polytope (offsets of the menu's own facet-defining
 hyperplanes plus one point per vertex) and must always agree.
@@ -24,6 +38,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import geometry as geo
+from .exhaustive import facet_conditions_hold
 from .geometry import as_vec, is_zero, vadd, vscale, vsub
 from .kernels import nullspace, rref_sparse
 from .model import AllocationSpace, ExtendedMenu
@@ -101,13 +116,59 @@ def is_extreme_finite(em: ExtendedMenu, space: AllocationSpace) -> ExtremalityVe
     strict and every edge scale sits at 1, interior to its sign constraint,
     so two-sided feasible directions exist exactly when the nullspace is
     nontrivial; a nonzero direction is returned as the witness.
+
+    An exhaustive menu with one rigid component holding every vertex of M is
+    indecomposable and exhaustive, hence extreme (Gale 1954, Shephard 1963):
+    the system then has nullity d + 1 - rank [c_f | n_f] over the binding
+    facets, which is 0 by the exhaustiveness rule, so it is not built.
     """
+    if facet_conditions_hold(em.binding, space):
+        components = rigid_components(em)
+        if components and len(components[0]) == len(em.vertices):
+            return ExtremalityVerdict(extreme=True, nullity=0)
     system = build_deformation_system(em, space)
     basis = nullspace(system.rows, system.ncols)
     if not basis:
         return ExtremalityVerdict(extreme=True, nullity=0)
     direction = _decode_direction(as_vec(basis[0]), em, space.dim)
     return ExtremalityVerdict(extreme=False, nullity=len(basis), direction=direction)
+
+
+def rigid_components(em: ExtendedMenu) -> tuple:
+    """Vertex index sets of M's rigid components, largest first.
+
+    A triangle is a 3-cycle i < j < k of the bounded edge graph, found on each
+    edge (i, j) as a common neighbour k > j of i and j. Triangles that share an
+    edge belong to one component: a union-find over the edges joins each
+    triangle's three. On a component every edge scale is one lam and every
+    displacement is lam v + t. Vertices on no triangle lie in no component.
+    """
+    nbrs = [set() for _ in em.vertices]
+    for i, j in em.edges:
+        nbrs[i].add(j)
+        nbrs[j].add(i)
+    index = {e: k for k, e in enumerate(em.edges)}
+    parent = list(range(len(em.edges)))
+
+    def find(e):
+        while parent[e] != e:
+            parent[e] = parent[parent[e]]
+            e = parent[e]
+        return e
+
+    on_triangles = []
+    for i, j in em.edges:
+        for k in nbrs[i] & nbrs[j]:
+            if k > j:
+                triangle = (index[(i, j)], index[(i, k)], index[(j, k)])
+                root = find(triangle[0])
+                for e in triangle[1:]:
+                    parent[find(e)] = root
+                on_triangles.extend(triangle)
+    members = {}
+    for e in on_triangles:
+        members.setdefault(find(e), set()).update(em.edges[e])
+    return tuple(sorted((tuple(sorted(c)) for c in members.values()), key=lambda c: (-len(c), c)))
 
 
 def _decode_direction(vec, em: ExtendedMenu, d: int) -> DeformationDirection:

@@ -242,6 +242,7 @@ class ExtendedMenu:
     poly: Polyhedron
     vertices: tuple
     edges: tuple  # pairs of indices into vertices, bounded 1-faces only
+    ray_edges: tuple  # unbounded 1-faces (i, j): ray poly.rays[j - len(vertices)] leaves vertex i
     facet_incidence: tuple  # per vertex: frozenset of A-facet indices
     binding: frozenset  # union of facet incidences = F(x)
     items: tuple  # the menu items, absorbed ones included
@@ -345,13 +346,16 @@ def extend_menu(menu: Menu, cone: TypeCone, space: AllocationSpace) -> ExtendedM
     """
     poly = geo.polyhedron_from_generators(menu.items, cone.polar_rays)
     vertices = poly.points
-    edges = tuple((i, j) for i, j in geo.faces(poly) if j < len(vertices))
+    all_edges = geo.faces(poly)
+    edges = tuple((i, j) for i, j in all_edges if j < len(vertices))
+    ray_edges = tuple((i, j) for i, j in all_edges if j >= len(vertices))
     incid = tuple(space.facet_set(v) for v in vertices)
     binding = frozenset().union(*incid) if incid else frozenset()
     return ExtendedMenu(
         poly=poly,
         vertices=vertices,
         edges=edges,
+        ray_edges=ray_edges,
         facet_incidence=incid,
         binding=binding,
         items=tuple(menu.items),

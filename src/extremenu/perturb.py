@@ -20,7 +20,7 @@ from itertools import combinations
 
 from . import geometry as geo
 from .exhaustive import is_exhaustive, minimal_exhaustive_subset
-from .extremality import ExtremalityVerdict, is_extreme_finite
+from .extremality import ExtremalityVerdict, is_extreme_finite, rigid_components
 from .geometry import as_vec, dot, nullspace_basis, primitive, rank, vadd, vsub
 from .kernels import det
 from .model import AllocationSpace, Menu, TypeCone, extend_menu
@@ -145,7 +145,9 @@ def perturb_to_extreme(menu: Menu, space: AllocationSpace, cone: TypeCone, delta
             continue
         new_verdict = is_extreme_finite(new_em, space)
         if not new_verdict.extreme:
-            last_error = "perturbed menu still decomposable"
+            largest = max(map(len, rigid_components(new_em)), default=0)
+            last_error = (f"perturbed menu still decomposable (largest rigid component covers "
+                          f"{largest} of {len(new_em.vertices)} vertices, nullity {new_verdict.nullity})")
             continue
         return PerturbationResult(
             menu=new_items,

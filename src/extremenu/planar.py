@@ -98,9 +98,8 @@ def _order_vertices(em: ExtendedMenu):
     if len(ends) != 2:
         raise geo.InternalError("planar path structure violated (internal)")
     end_ray = {}
-    for i, j in geo.faces(em.poly):
-        if j >= n:
-            end_ray.setdefault(i, em.poly.rays[j - n])
+    for i, j in em.ray_edges:
+        end_ray.setdefault(i, em.poly.rays[j - n])
     for start in ends:
         if start not in end_ray:
             raise geo.InternalError("path end without unbounded edge (internal)")

@@ -3,8 +3,8 @@
 Each one restates a property the package relies on without depending on the
 code that relies on it, so the tests can check verdicts and certificates from
 outside: support values of an extended menu, deformations between extended
-menus, the squared displacement bound of a perturbation, and vertex and
-hyperplane identity on a polyhedron.
+menus, the nullity of the full deformation system, the squared displacement
+bound of a perturbation, and vertex and hyperplane identity on a polyhedron.
 """
 
 import math
@@ -59,6 +59,28 @@ def is_deformation(em, other) -> bool:
 def summand_extended_menus(cert, cone, space):
     return (extend_menu(Menu(items=cert.menu_plus), cone, space),
             extend_menu(Menu(items=cert.menu_minus), cone, space))
+
+
+def deformation_nullity(em, space) -> int:
+    """Nullity of the full deformation system, written densely: unknowns are
+    d coordinates of psi per vertex, then one mu per bounded edge; rows are
+    psi_i - psi_j - mu_e (v_i - v_j) = 0 per bounded edge e = (i, j) and
+    coordinate, and n_f . psi_i = 0 per facet f of A through vertex i."""
+    d, n = space.dim, len(em.vertices)
+    ncols = d * n + len(em.edges)
+    rows = []
+    for e, (i, j) in enumerate(em.edges):
+        diff = vsub(em.vertices[i], em.vertices[j])
+        for c in range(d):
+            row = [Fraction(0)] * ncols
+            row[i * d + c], row[j * d + c], row[d * n + e] = Fraction(1), Fraction(-1), -diff[c]
+            rows.append(row)
+    for i, facets in enumerate(em.facet_incidence):
+        for f in facets:
+            row = [Fraction(0)] * ncols
+            row[i * d:(i + 1) * d] = space.facets[f].normal
+            rows.append(row)
+    return ncols - rank(rows)
 
 
 def hausdorff_bound(menu_a, menu_b):

@@ -457,6 +457,20 @@ def test_experiment_deterministic():
     assert a == b
 
 
+def test_experiment_counts_forcing_failures():
+    # monopoly d = 3: some sampled menus cannot be forced; each is counted
+    space, cone = space_for_preset("monopoly", d=3)
+    failed = 0
+    for i in range(25):
+        try:
+            force_exhaustive(apps.sample_menu("monopoly", 3, 6, apps._instance_rng(7, i)), space, cone)
+        except ScenarioError:
+            failed += 1
+    summary = genericity_experiment("monopoly", 3, 6, 25, seed=7)
+    assert summary.forcing_failed == failed > 0
+    assert summary.exhaustive_after_forcing + summary.forcing_failed == summary.samples
+
+
 def test_expected_utility_linear_under_minkowski_average():
     # value(avg menu) = avg of values when no sample type is tied on either
     # summand (ties are excluded by filtering the sample)

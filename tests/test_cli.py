@@ -198,6 +198,14 @@ def test_experiment_determinism():
     b = run_cli(args)
     assert a.returncode == 0
     assert a.stdout == b.stdout
+    assert json.loads(a.stdout)["forcing_failed"] == 0
+
+
+def test_experiment_reports_forcing_failures():
+    r = run_cli(["experiment", "--preset", "monopoly", "--d", "3", "--k", "6",
+                 "--samples", "25", "--seed", "7"])
+    rep = json.loads(r.stdout)
+    assert (rep["exhaustive_after_forcing"], rep["forcing_failed"]) == (20, 5)
 
 
 def test_evaluate_with_sample(tmp_path):

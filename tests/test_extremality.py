@@ -1,10 +1,13 @@
 import dataclasses
+import random
 from fractions import Fraction as F
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from corpus import CORPUS, CORPUS_BY_NAME
-from extremenu import cli, extremality, geometry as geo
+from extremenu import applications as apps, cli, extremality, geometry as geo
 from extremenu.exhaustive import is_exhaustive
 from extremenu.extremality import (
     DecompositionCertificate,
@@ -13,13 +16,23 @@ from extremenu.extremality import (
     def_polytope_cross_check,
     extract_decomposition,
     is_extreme_finite,
+    rigid_components,
     verify_certificate,
 )
 from extremenu.geometry import as_vec
 from extremenu.kernels import rref_sparse
-from extremenu.model import extended_menu, unrestricted_cone, validate_scenario
-from extremenu.presets import cube_space
-from oracles import is_deformation, summand_extended_menus
+from extremenu.model import (
+    Menu,
+    ScenarioError,
+    allocation_space_from_points,
+    extend_menu,
+    extended_menu,
+    make_type_cone,
+    unrestricted_cone,
+    validate_scenario,
+)
+from extremenu.presets import cube_space, simplex_space, space_for_preset
+from oracles import deformation_nullity, is_deformation, summand_extended_menus
 
 
 def em_of(name):
@@ -318,6 +331,110 @@ def test_menu_size_bound_d2_on_corpus():
             continue
         em = extended_menu(case.scenario)
         assert len(em.vertices) <= len(case.scenario.space.facets), case.name
+
+
+# -- rigid components and the triangle-chain shortcut ---------------------------
+
+
+def test_simplex_is_one_rigid_component():
+    space = simplex_space(3)
+    em = extend_menu(Menu(items=space.poly.points), unrestricted_cone(3), space)
+    assert rigid_components(em) == ((0, 1, 2, 3),)
+
+
+def test_forced_cube4_menu_is_covered():
+    space, cone = space_for_preset("cube", d=4)
+    items = apps.force_exhaustive(apps.sample_menu("cube", 4, 10, apps._instance_rng(3, 0)), space, cone)
+    em = extended_menu(validate_scenario(space, cone, dict.fromkeys(items)))
+    (first, *_) = rigid_components(em)
+    assert first == tuple(range(len(em.vertices))) and len(first) >= 4
+
+
+def test_prism_has_two_rigid_components():
+    # triangle x segment: the two triangles share no edge, and the three
+    # quadrilateral sides hold no triangle of edges
+    _, em = em_of("prism_delta3")
+    components = rigid_components(em)
+    assert [len(c) for c in components] == [3, 3]
+    assert sorted(components[0] + components[1]) == list(range(6))
+    for c in components:
+        assert {tuple(sorted((i, j))) for i in c for j in c if i < j} <= set(em.edges)
+
+
+def test_pyramid_is_covered_through_its_apex():
+    _, em = em_of("pyramid_delta3")
+    assert rigid_components(em) == (tuple(range(5)),)
+
+
+def test_experiment_on_cube4_builds_no_deformation_system(monkeypatch):
+    calls = []
+    monkeypatch.setattr(extremality, "build_deformation_system", lambda *args: calls.append(args))
+    summary = apps.genericity_experiment("cube", 4, 10, 20, 5)
+    assert summary.exhaustive_after_forcing == summary.extreme == 20
+    assert calls == []
+
+
+def _random_scenario(rng, d):
+    """A, the hull of d + 1 to d + 5 integer points in [-3, 3]^d; an
+    unrestricted cone (40%) or one spanned by d to d + 2 integer rays in
+    [-2, 2]^d; items that are rational convex combinations of A's vertices,
+    each of at most three vertices half of the time."""
+    while True:
+        try:
+            space = allocation_space_from_points(
+                [tuple(rng.randint(-3, 3) for _ in range(d)) for _ in range(rng.randint(d + 1, d + 5))])
+            break
+        except ScenarioError:
+            continue
+    while rng.random() >= 0.4:
+        try:
+            cone = make_type_cone([tuple(rng.randint(-2, 2) for _ in range(d))
+                                   for _ in range(rng.randint(d, d + 2))])
+            break
+        except (ScenarioError, geo.GeometryError):
+            continue
+    else:
+        cone = unrestricted_cone(d)
+    pts = space.poly.points
+    items = []
+    for _ in range(rng.randint(1, 7)):
+        support = rng.sample(pts, rng.randint(1, min(3, len(pts)) if rng.random() < 0.5 else len(pts)))
+        weights = [rng.randint(1, 4) for _ in support]
+        items.append(tuple(sum(F(w, sum(weights)) * p[c] for w, p in zip(weights, support))
+                           for c in range(d)))
+    return space, cone, tuple(dict.fromkeys(items))
+
+
+def _preset_scenario(rng, d):
+    """A preset space and cone with a sampled menu, forced when forcing succeeds."""
+    preset = rng.choice(["simplex", "cube", "monopoly"])
+    space, cone = space_for_preset(preset, d=d)
+    items = apps.sample_menu(preset, d, rng.randint(2, 8), rng)
+    try:
+        items = apps.force_exhaustive(items, space, cone)
+    except ScenarioError:
+        pass
+    return space, cone, tuple(dict.fromkeys(tuple(p) for p in items))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.integers(2, 4), st.booleans(), st.integers(0, 2**32))
+def test_shortcut_matches_full_system(d, preset, seed):
+    space, cone, items = (_preset_scenario if preset else _random_scenario)(random.Random(seed), d)
+    em = extend_menu(Menu(items=items), cone, space)
+    with mock.patch.object(extremality, "build_deformation_system",
+                           wraps=extremality.build_deformation_system) as built:
+        verdict = is_extreme_finite(em, space)
+    nullity = deformation_nullity(em, space)
+    assert (verdict.extreme, verdict.nullity) == (nullity == 0, nullity)
+    assert def_polytope_cross_check(em, space) == verdict.extreme
+    components = rigid_components(em)
+    covered = bool(components) and len(components[0]) == len(em.vertices)
+    exhaustive = is_exhaustive(em, space).exhaustive
+    # the theorem: on a covered menu, extreme iff exhaustive; the shortcut
+    # answers exactly the covered exhaustive menus
+    assert not covered or verdict.extreme == exhaustive
+    assert (built.call_count == 0) == (covered and exhaustive)
 
 
 # -- random agreement fuzz -----------------------------------------------------

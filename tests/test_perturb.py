@@ -6,7 +6,8 @@ from hypothesis import assume, given, settings, strategies as st
 
 from corpus import CORPUS_BY_NAME
 from extremenu import perturb
-from extremenu.extremality import is_extreme_finite
+from extremenu.exhaustive import is_exhaustive
+from extremenu.extremality import ExtremalityVerdict, is_extreme_finite
 from extremenu.geometry import as_vec, dot, nullspace_basis, rank, vadd, vsub
 from extremenu.model import Menu, extend_menu, extended_menu, validate_scenario
 from extremenu.perturb import (
@@ -217,3 +218,24 @@ def test_general_position_is_checked_on_each_sampled_menu(monkeypatch):
     monkeypatch.setattr(perturb, "is_general_position", lambda points: GeneralPositionReport(False))
     with pytest.raises(PerturbationError, match=r"within 64 retries .*: perturbed items not in general position$"):
         perturb_to_extreme(sc.menu, space, cone, F(1, 20), seed=seed)
+
+
+def test_still_decomposable_names_the_rigid_components(monkeypatch):
+    # a forced monopoly menu (d = 3) whose perturbations keep M a path of two
+    # bounded edges: no triangle, so no rigid component, and nullity 1
+    space, cone = space_for_preset("monopoly", d=3)
+    menu = Menu(items=tuple(as_vec(p) for p in [
+        (0, 0, 0), (F(13, 16), F(13, 16), 1), (F(5, 8), F(7, 16), F(9, 16))]))
+    em = extend_menu(menu, cone, space)
+    assert len(em.edges) == 2 and is_exhaustive(em, space).exhaustive
+    assert not is_extreme_finite(em, space).extreme
+    with pytest.raises(PerturbationError, match=r": perturbed menu still decomposable \(largest rigid "
+                                                r"component covers 0 of 3 vertices, nullity 1\)$"):
+        perturb_to_extreme(menu, space, cone, F(1, 20), seed=0)
+    # a perturbed prism is one rigid component; a verdict forced to
+    # "decomposable" is reported with its component and nullity
+    items, seed, _, _ = PINNED["prism-0"]
+    space, cone = space_for_preset("simplex", d=3)
+    monkeypatch.setattr(perturb, "is_extreme_finite", lambda em, space: ExtremalityVerdict(False, 2))
+    with pytest.raises(PerturbationError, match=r"covers 6 of 6 vertices, nullity 2\)$"):
+        perturb_to_extreme(validate_scenario(space, cone, items).menu, space, cone, F(1, 20), seed=seed)

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from corpus import CORPUS, CORPUS_BY_NAME
-from extremenu import planar
+from extremenu import geometry as geo, planar
 from extremenu.extremality import is_extreme_finite
 from extremenu.geometry import faces, vadd, vsub
 from extremenu.model import (
@@ -244,3 +244,19 @@ def test_facet_corners_follow_the_clockwise_walk_of_a(name):
     steps = list(zip(walk, walk[1:] + walk[:1]))
     assert sum(p[0] * q[1] - p[1] * q[0] for p, q in steps) < 0  # clockwise: negative area
     assert {planar._facet_corners(space, f) for f in range(len(space.facets))} == set(steps)
+
+
+def test_classify_2d_reuses_the_edges_of_the_extended_menu(monkeypatch):
+    # the walk reads the ray edges kept on the extended menu: one edge pass
+    # per menu, made when the menu is extended
+    calls = []
+    monkeypatch.setattr(geo, "faces", lambda poly: calls.append(poly) or faces(poly))
+    cases = [case for case in CORPUS if case.scenario.dim == 2]
+    assert len(cases) == 23
+    for case in cases:
+        sc = case.scenario
+        calls.clear()
+        em = extend_menu(sc.menu, sc.cone, sc.space)
+        assert em.ray_edges == tuple((i, j) for i, j in faces(em.poly) if j >= len(em.vertices))
+        classify_2d(em, sc.space)
+        assert len(calls) == 1, case.name
